@@ -135,17 +135,16 @@ def run_bench() -> dict:
         # alias (cheap tasks): ~2 blocks/CPU keeps driver dispatch low.
         # simbert (model-bound): ~4 blocks/CPU/corpus-multiple — blocks must
         # scale WITH the corpus so task length stays constant; otherwise the
-        # final partial wave strands most of the actor pool for one whole
-        # task length (measured: ~150 s tail at mult=4 with fixed blocks).
+        # final partial wave strands most of the tagger's task slots for one
+        # whole task length (measured: ~150 s tail at mult=4 with fixed blocks).
         blocks = ncpu * 2 * mult if model == "alias" else ncpu * 4 * mult
         pages = kg.read_pages(pages_path, override_num_blocks=blocks)
         p0 = time.perf_counter()
         mentions = kg.extract_mentions(
             pages,
-            # fixed pool at 3/4 of the CPUs: the 8→32 comparison then holds
-            # the actor ratio at exactly 4× (autoscaling pools drift). Cap at
-            # ncpu-2 — actor pools RESERVE their CPUs, and a pool that leaves
-            # no slot for the linker actor + read tasks deadlocks the stage.
+            # fixed task cap at 3/4 of the CPUs: the 8→32 comparison then
+            # holds the tagger's concurrency ratio at exactly 4×. Cap at
+            # ncpu-2 so the linker and read tasks keep slots of their own.
             tagger_concurrency=max(2, min((ncpu * 3) // 4, ncpu - 2)),
             batch_size=1024 if model == "alias" else 256,
             model=model,
@@ -332,8 +331,8 @@ def run_scaling() -> dict:
         return json.loads(out.strip().splitlines()[-1])
 
     # N vs 4N parallelism levels. 8→32 is the default; below ~8 CPUs the
-    # actor topology (tagger pool + linker + read tasks) cannot hold the
-    # exact 4× pool ratio without starving a stage.
+    # stage topology (tagger + linker + read tasks) cannot hold the exact
+    # 4× tagger-cap ratio without starving a stage.
     lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
     hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
     r_lo, r_hi = run(lo), run(hi)

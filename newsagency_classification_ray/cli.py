@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 
@@ -110,12 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _worker_pythonpath() -> str:
+    """The directory holding this package, ahead of any inherited path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+
+
 def main(argv: list[str] | None = None) -> dict:
     args = _build_parser().parse_args(argv)
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
+        # workers import the package from this checkout whatever the cwd
+        ray.init(address="local", include_dashboard=False, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": _worker_pythonpath()}})
     if args.cmd == "run":
         cfg = PipelineConfig(
             input_path=args.input,

@@ -19,6 +19,7 @@ order-insensitive content hashes so idempotence is verifiable.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -78,9 +79,12 @@ def _hash_partition_files(pdir: str) -> tuple[int, int]:
     return nrows, combine_hashes(hashes)
 
 
+@functools.lru_cache(maxsize=None)
 def hash_partition_task():
     """The Ray-remote wrapper, created lazily so importing this module
-    never requires an initialized Ray session."""
+    never requires an initialized Ray session, and once per process so it
+    is exported once, not on every write (Ray re-exports it by itself
+    when a new session starts)."""
     import ray
 
     return ray.remote(num_cpus=1)(_hash_partition_files)
@@ -246,9 +250,9 @@ def materialize_graph(
     The three table writes are independent Dataset executions — run them
     concurrently from driver threads so their (small) exchanges and write
     tasks interleave instead of serializing. On small CPU budgets the writes
-    run serially instead: concurrent executions whose upstream pipelines hold
-    actor pools can starve each other for CPU slots (observed as a stall at
-    8 CPUs with three un-materialized flagship branches).
+    run serially instead: concurrent executions of un-materialized flagship
+    branches compete for the same few CPU slots (observed as a stall at 8
+    CPUs while the tagger and linker still ran as actor pools).
     """
     from concurrent.futures import ThreadPoolExecutor
 

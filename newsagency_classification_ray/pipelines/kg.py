@@ -3,24 +3,34 @@
     read_parquet(pages) → filter(lang, nonempty)            # M1/M2, stateless
       → exact dedup by url                                  # D1 (README.md:86 dup bug)
       → map_batches(extract_text)                           # byte-identical text
-      → map_batches(TaggerStage,  concurrency=…)            # T1 actor pool
-      → map_batches(LinkerStage,  concurrency=…)            # T5 actor pool
+      → map_batches(_tag_batch,  concurrency=cap)           # T1 on warm task workers
+      → map_batches(_link_batch, concurrency=cap)           # T5 on warm task workers
       → mentions ──┬─ write_parquet(mentions/)
                    ├─ triples  (url, 'cites_agency', qid, year, n_mentions)
-                   ├─ canonicalize: SALTED groupby on normalized surface form  # A2
-                   ├─ co-occurrence edges per (host, year)                      # A3
-                   └─ sorted, partitioned graph materialize with manifests      # F6
+                   ├─ canonicalize: SALTED keyed aggregate on normalized surface form  # A2
+                   ├─ co-occurrence edges per (host, year)                              # A3
+                   └─ sorted, partitioned graph materialize with manifests              # F6
 
 Scale notes (the 100 TB story):
 * Every stage before the mentions table is a streaming ``map_batches`` over
   Arrow blocks — no driver materialization; mention rows are ~10³× smaller
   than page rows, so all shuffles below happen on the *small* side of the
   funnel.
+* Tagger and linker are plain tasks, not actor pools: each worker process
+  builds one stage object per (stage, model) on its first batch
+  (``stages.warm.warm_stage``) and keeps it for every later batch and job.
+  Nothing is reserved for the lifetime of an execution, so the reads, sorts
+  and writes around the stages always get a CPU slot (no deadlock at one
+  CPU), and the pre-started workers stay alive and warm across jobs.
 * Nothing page-sized ever enters an exchange: duplicate pages are deduped on
   the mention side (``dedup_mentions`` — identical pages yield byte-identical
   mention rows), so the default pipeline has NO full-input shuffle at all;
   ``dedup="pages"`` opts into the payload-moving ``dedup_by_url`` only for
   inputs whose duplicates are not exact copies.
+* Every keyed aggregate is :func:`keyed_aggregate`: a range-partitioning
+  ``sort`` on the key, then ONE Arrow ``group_by`` kernel per block — no
+  per-group Python (Ray's ``groupby().aggregate()`` reduces each group in a
+  Python loop).
 * Canonicalization pre-aggregates inside ``map_batches`` (combiner), salts the
   Zipfian surface-form key (Reuters/Havas head — reference README.md:88-90),
   merges partials, then de-salts: two cheap shuffles over partial rows instead
@@ -35,13 +45,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Max, Sum
 
 from ..functions.ids import host_of_urls
 from ..functions.textproc import normalize_surface
 from ..stages.extract import extract_text_batch, filter_pages
 from ..stages.linker import LinkerStage
 from ..stages.tagger import TaggerStage
+from ..stages.warm import warm_stage
 
 DEFAULT_SALT_BUCKETS = 32
 
@@ -107,7 +117,12 @@ def extract_mentions(
     mention_rows_per_block: int | None = 65_536,
     model: str = "alias",
 ) -> Dataset:
-    """pages → mentions (tag + link), the hot actor-pool section.
+    """pages → mentions (tag + link) on warm task workers.
+
+    ``tagger_concurrency`` / ``linker_concurrency`` cap the number of
+    concurrent tasks of each stage: an int is the cap, a ``(min, max)``
+    tuple's ``max`` is. The linker's 4096-row batches also merge the small
+    tagger outputs into few blocks for the exchanges downstream.
 
     ``dedup``: ``"mentions"`` / ``True`` dedups duplicate pages on the *small*
     side (identical mention rows, see :func:`dedup_mentions`); ``"pages"``
@@ -124,18 +139,18 @@ def extract_mentions(
         ds = dedup_by_url(ds)
     ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
     ds = ds.map_batches(
-        TaggerStage,
+        _tag_batch,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=tagger_concurrency,
+        concurrency=_task_cap(tagger_concurrency),
         num_cpus=1,
-        fn_constructor_kwargs={"model": model},
+        fn_kwargs={"model": model},
     )
     ds = ds.map_batches(
-        LinkerStage,
+        _link_batch,
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=linker_concurrency,
+        concurrency=_task_cap(linker_concurrency),
         num_cpus=1,
     )
     ds = ds.map_batches(_derive_mention_meta, batch_format="pyarrow")
@@ -144,6 +159,43 @@ def extract_mentions(
     if mention_rows_per_block:
         ds = ds.repartition(target_num_rows_per_block=mention_rows_per_block)
     return ds
+
+
+def _task_cap(concurrency: int | tuple[int, int]) -> int:
+    return concurrency[1] if isinstance(concurrency, tuple) else concurrency
+
+
+def _tag_batch(batch: pa.Table, model: str) -> pa.Table:
+    return warm_stage(TaggerStage, model=model)(batch)
+
+
+def _link_batch(batch: pa.Table) -> pa.Table:
+    return warm_stage(LinkerStage)(batch)
+
+
+def keyed_aggregate(ds: Dataset, keys: str | list[str],
+                    aggs: dict[str, tuple[str, str]]) -> Dataset:
+    """``groupby(keys).aggregate(...)`` as one Arrow kernel per block.
+
+    ``aggs`` maps each output column to ``(input column, pyarrow hash
+    aggregate)``, e.g. ``{"n_mentions": ("n", "sum"), "year": ("year",
+    "max")}``; the output is the key columns then ``aggs`` in order. The
+    range-partitioning ``sort`` puts all rows of a key in one block (the
+    guarantee :func:`dedup_mentions` relies on), so one
+    ``pa.Table.group_by`` per block (``batch_size=None``) is the complete
+    aggregate — where Ray's ``groupby().aggregate()`` reduces each group in
+    a Python loop. Single-threaded ``group_by`` emits groups in order of
+    first appearance, so the sorted blocks stay sorted by key.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def fn(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(list(aggs.values()))
+        # select by NAME (pyarrow key/aggregate order is version-dependent)
+        return pa.table({**{k: g[k] for k in keys},
+                         **{out: g[f"{col}_{f}"] for out, (col, f) in aggs.items()}})
+
+    return ds.sort(keys).map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def _derive_mention_meta(batch: pa.Table) -> pa.Table:
@@ -165,7 +217,7 @@ def triples(mentions: Dataset) -> Dataset:
 
     Linked mentions only (qid != NIL; articleauthor/unk/Europapress excluded
     per cli_tagger.py:202-209 + import_data.ipynb M15). Pre-aggregated inside
-    map_batches before the (url, qid) groupby — the combiner pattern.
+    map_batches before the (url, qid) aggregate — the combiner pattern.
     """
     linked = mentions.map_batches(
         lambda t: t.filter(pc.not_equal(t["qid"], "NIL")).select(
@@ -175,9 +227,8 @@ def triples(mentions: Dataset) -> Dataset:
     )
     partial = linked.map_batches(_partial_count_batch(["url", "host", "year", "qid"]),
                                  batch_format="pyarrow")
-    out = partial.groupby(["url", "qid"]).aggregate(
-        Sum("n", alias_name="n_mentions"), Max("year", alias_name="year"),
-    )
+    out = keyed_aggregate(partial, ["url", "qid"],
+                          {"n_mentions": ("n", "sum"), "year": ("year", "max")})
     return out.map_batches(
         lambda t: t.append_column("predicate",
                                   pa.array(["cites_agency"] * len(t), type=pa.string())),
@@ -206,20 +257,20 @@ def add_salt(ds: Dataset, buckets: int = DEFAULT_SALT_BUCKETS) -> Dataset:
 
 
 def canonicalize(mentions: Dataset, salt_buckets: int = DEFAULT_SALT_BUCKETS) -> Dataset:
-    """A2: salted two-phase groupby on the normalized surface form.
+    """A2: salted two-phase keyed aggregate on the normalized surface form.
 
     Phase 0 (combiner): per-batch partial counts of
     (surface_norm, canonical, qid) — collapses the Zipf head inside each block.
-    Phase 1: groupby(key + salt) partial-merge.  Phase 2: groupby(key) final
-    merge.  Output: canonical agency rollup (surface forms → qid) with
+    Phase 1: aggregate on key + salt (partial merge).  Phase 2: aggregate on
+    key (final merge).  Output: canonical agency rollup (surface forms → qid) with
     mention counts.  Property-tested equal to the unsalted single groupby.
     """
     keys = ["surface_norm", "canonical", "qid"]
     partial = mentions.map_batches(_partial_count_batch(keys), batch_format="pyarrow")
     salted = add_salt(partial, salt_buckets)
-    merged = salted.groupby(keys + ["salt"]).aggregate(Sum("n", alias_name="n"))
+    merged = keyed_aggregate(salted, keys + ["salt"], {"n": ("n", "sum")})
     desalted = merged.map_batches(lambda t: t.drop_columns(["salt"]), batch_format="pyarrow")
-    return desalted.groupby(keys).aggregate(Sum("n", alias_name="n_mentions"))
+    return keyed_aggregate(desalted, keys, {"n_mentions": ("n", "sum")})
 
 
 def _emit_pairs_sorted_runs(t: pa.Table) -> pa.Table:
@@ -315,14 +366,14 @@ def cooccurrence_edges(mentions: Dataset) -> Dataset:
     )
     partial = linked.map_batches(_partial_count_batch(["host", "year", "qid"]),
                                  batch_format="pyarrow")
-    counts = partial.groupby(["host", "year", "qid"]).aggregate(Sum("n", alias_name="n"))
+    counts = keyed_aggregate(partial, ["host", "year", "qid"], {"n": ("n", "sum")})
 
     pairs = cooccurrence_pair_contribs(counts)
-    out = pairs.groupby(["src_qid", "dst_qid", "year"]).aggregate(
-        Sum("weight", alias_name="weight"),
-        Sum("freq_src", alias_name="freq_src"),
-        Sum("freq_dst", alias_name="freq_dst"),
-    )
+    out = keyed_aggregate(pairs, ["src_qid", "dst_qid", "year"], {
+        "weight": ("weight", "sum"),
+        "freq_src": ("freq_src", "sum"),
+        "freq_dst": ("freq_dst", "sum"),
+    })
     return out.map_batches(
         lambda t: t.append_column(
             "predicate", pa.array(["co_occurs_with"] * len(t), type=pa.string())
@@ -352,9 +403,8 @@ def build_nodes(canonical_rollup: Dataset, triples_ds: Dataset) -> Dataset:
         ),
         batch_format="pyarrow",
     )
-    agencies = agency_partial.groupby(["canonical", "qid"]).aggregate(
-        Sum("n_mentions", alias_name="n_mentions")
-    )
+    agencies = keyed_aggregate(agency_partial, ["canonical", "qid"],
+                               {"n_mentions": ("n_mentions", "sum")})
 
     def agency_nodes(t: pa.Table) -> pa.Table:
         qid = t["qid"].to_pylist()
@@ -380,7 +430,7 @@ def build_nodes(canonical_rollup: Dataset, triples_ds: Dataset) -> Dataset:
     art_partial = triples_ds.map_batches(
         lambda t: t.select(["url", "n_mentions"]), batch_format="pyarrow"
     )
-    articles = art_partial.groupby("url").aggregate(Sum("n_mentions", alias_name="n_mentions"))
+    articles = keyed_aggregate(art_partial, "url", {"n_mentions": ("n_mentions", "sum")})
     return agencies.map_batches(agency_nodes, batch_format="pyarrow").union(
         articles.map_batches(article_nodes, batch_format="pyarrow")
     )
@@ -469,13 +519,12 @@ def extract_mentions_checkpointed(
 
     Shards are processed in waves of ``wave_size`` (default 1:
     sequential shards, FULL cluster parallelism inside each shard — at
-    crawl scale one shard alone saturates the cluster, and each branch
-    of a wave carries its own tagger/linker actor-pool minimums, so
-    wave × 2 pool-minimum actors must fit the session's CPU budget
-    before raising this; a 4-CPU test session deadlocks at wave 8).
-    Within a wave the branches execute as ONE streaming union. The
-    manifest is written AFTER the wave's data files (crash ⇒ no
-    manifest ⇒ redone).
+    crawl scale one shard alone saturates the cluster). The tagger and
+    linker run as plain tasks that hold no CPU between batches, so any
+    wave size fits any CPU budget; a larger wave only adds branches
+    competing for the same task slots. Within a wave the branches
+    execute as ONE streaming union. The manifest is written AFTER the
+    wave's data files (crash ⇒ no manifest ⇒ redone).
 
     Cross-shard duplicate pages cannot dedup inside a shard run —
     :func:`read_checkpointed_mentions` re-applies the mention-row dedup

@@ -6,10 +6,12 @@ linker: alias index + normalized-edit-distance scoring so OCR-noisy surfaces
 (``Havaas`` → canonical ``Havas``, golden fixture
 ``tests/na_tagger_out.jsonl``) still resolve.
 
-Actor-pool stage: the alias index (exact map + per-length buckets for the
-banded-Levenshtein fallback) is built once per actor in ``__init__`` from the
-broadcast vocabulary (SURVEY.md §2.4 J1 — small side rides with the actor,
-never a shuffle join). Per batch the lookup is memoised on the batch's
+Warm task stage: ``pipelines.kg`` runs it as a task-based ``map_batches``
+through ``stages.warm.warm_stage``, so the alias index (exact map +
+per-length buckets for the banded-Levenshtein fallback) is built once per
+worker process in ``__init__`` from the broadcast vocabulary (SURVEY.md §2.4
+J1 — small side rides with the worker, never a shuffle join), and the
+resolved-surface cache carries over between batches and jobs. Per batch the lookup is memoised on the batch's
 *unique* surfaces — the surface distribution is extremely Zipfian
 (Reuters/Havas head, reference README.md:88-90), so a batch of 10⁴ mentions
 typically resolves <10² distinct surfaces.
@@ -52,7 +54,7 @@ class LinkerStage:
             for ln in range(len(alias) - max_edit_distance, len(alias) + max_edit_distance + 1):
                 self.by_len.setdefault(ln, []).append((alias, canon))
         # char-trigram embedding matrix over the alias vocabulary (built once
-        # per actor; ~|aliases| × 4096 hashed-trigram dims, L2-normalized)
+        # per worker; ~|aliases| × 4096 hashed-trigram dims, L2-normalized)
         self._np = np
         self._dims = 4096
         self._alias_list = list(self.exact.items())
@@ -112,7 +114,7 @@ class LinkerStage:
                 if emb is not None:
                     canon2, score = emb
                     out = (canon2, qid_for_label(canon2), round(score, 4))
-        if len(self.cache) < 1_000_000:  # bound actor memory on hostile inputs
+        if len(self.cache) < 1_000_000:  # bound worker memory on hostile inputs
             self.cache[surface] = out
         return out
 

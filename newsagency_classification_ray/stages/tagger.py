@@ -1,14 +1,16 @@
 """Tagger stage (T1): sentence-segment → tokenize → token-classify → BIO decode.
 
-Actor-pool stage: pass the class to
-``ds.map_batches(TaggerStage, concurrency=N, batch_size=B,
-batch_format="pyarrow")``. All per-actor state (compiled regexes, the alias
-model, and — when available — a real HF token-classification model) is built
-once in ``__init__`` and reused across batches, the Ray-native replacement for
-the reference's external TorchServe model server
+Warm task stage: ``pipelines.kg`` runs it as a task-based
+``map_batches`` through ``stages.warm.warm_stage``, so each Ray worker
+process builds one ``TaggerStage`` per model on its first batch and reuses
+it for every later batch and job on that worker. All per-instance state
+(compiled regexes, the alias model, and — when available — a real HF
+token-classification model) is built once in ``__init__``: the Ray-native
+replacement for the reference's external TorchServe model server
 (``model_handler.py:96-175``), whose single-server funnel is exactly what
 killed its 8-worker scaling (SURVEY.md §4: 2.2× instead of 10×). Here every
-actor holds its own model replica co-located with the data.
+worker holds its own model replica co-located with the data, and holds no
+CPU between batches. The class is also a plain callable on an Arrow table.
 
 Model backends
 --------------
@@ -256,7 +258,7 @@ class BertModel:  # pragma: no cover - torch/transformers absent in this sandbox
     """Real HF token-classification backend (torch-gated).
 
     Interface-compatible with :class:`AliasModel`: ``tag(tokens) -> (tags,
-    confs)``. Loads the fine-tuned checkpoint once per actor (the Ray-native
+    confs)``. Loads the fine-tuned checkpoint once per worker (the Ray-native
     replacement for the reference's TorchServe ``initialize``,
     ``model_handler.py:103-124``) and reproduces the reference's realignment
     semantics (``cli_tagger_no_torch_serve.py:208-226``): the prediction of
@@ -265,8 +267,8 @@ class BertModel:  # pragma: no cover - torch/transformers absent in this sandbox
     the softmax probability of the argmax class at that wordpiece
     (``single_task/newsagency_ner.py:221-231``).
 
-    Construction verifies the dependency so actor init fails fast rather
-    than at first batch. Exercised only where torch+transformers exist.
+    Construction verifies the dependency so stage construction fails fast
+    rather than at the first tagged sentence. Exercised only where torch+transformers exist.
     """
 
     sys_id = "BERT MODEL"
@@ -333,7 +335,7 @@ class BertModel:  # pragma: no cover - torch/transformers absent in this sandbox
 
 
 class TaggerStage:
-    """``map_batches`` actor: pages (url, text, lang, warc_ts) → mentions table."""
+    """pages (url, text, lang, warc_ts) → mentions table, one Arrow batch per call."""
 
     def __init__(self, model: str = "alias", max_tokens: int = MAX_TOKENS_PER_SENTENCE):
         if model == "alias":

@@ -29,9 +29,25 @@ MANIFEST_NAME = "_manifest.json"
 _MASK = (1 << 64) - 1
 
 
+# Arrow integer/bool columns convert to pandas' nullable dtypes, so a null
+# keeps its own fixed hash instead of turning the whole column into float64
+# (or object) in just the batches that contain one: the hash of a table then
+# no longer depends on how its rows are split into row groups. Null-free
+# columns hash exactly as their numpy dtypes do.
+_NULLABLE_DTYPES = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+    pa.bool_(): pd.BooleanDtype(),
+}
+
+
 def batch_content_hash(batch: pa.Table | pd.DataFrame) -> int:
-    """Order-insensitive content hash of a batch (sum of row hashes mod 2^64)."""
-    df = batch.to_pandas() if isinstance(batch, pa.Table) else batch
+    """Order-insensitive content hash of a batch (sum of row hashes mod 2^64),
+    independent of how the rows are split into batches."""
+    df = (batch.to_pandas(types_mapper=_NULLABLE_DTYPES.get)
+          if isinstance(batch, pa.Table) else batch)
     if len(df) == 0:
         return 0
     return int(pd.util.hash_pandas_object(df, index=False).sum()) & _MASK

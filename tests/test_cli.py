@@ -31,3 +31,35 @@ def test_cli_eval_subcommand(ray_session, capsys):
     p = ensure_pages("/root/testdata/sf0.001")
     out = main(["eval", "--input", p])
     assert out["precision"] == 1.0 and out["recall"] >= 0.95
+
+
+_CLI_AS_MODULE = """
+import runpy, sys
+sys.path.insert(0, sys.argv.pop(1))   # the checkout, for this process only
+runpy.run_module("newsagency_classification_ray.cli", run_name="__main__")
+"""
+
+
+def test_cli_runs_from_another_working_directory(tmp_path):
+    """``python -m newsagency_classification_ray.cli run`` started outside
+    the checkout, with the package importable by the driver only (no
+    ``PYTHONPATH``): the CLI's Ray session must hand the package's location
+    to its workers, or their first task fails to import it."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = ensure_pages("sf0.001")  # scale factor from the name
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_AS_MODULE, root, "run", "--input", p,
+         "--output", "kg", "--num-partitions", "2"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=str(cwd))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["mentions"] == 371 and out["triples"] == 330
+    assert out["write"]["nodes"]["rows"] == 212
+    assert os.path.exists(cwd / "kg" / "nodes" / "part=0" / "_manifest.json")

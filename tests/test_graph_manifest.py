@@ -121,3 +121,31 @@ def test_written_partitions_are_sorted_and_complete(tmp_path):
         assert ids == sorted(ids)  # sorted within the partition
         seen.extend(ids)
     assert sorted(seen) == sorted(tbl["node_id"].to_pylist())  # complete, no dups
+
+
+def test_content_hash_independent_of_row_group_splits(tmp_path):
+    """A null in an int64 (or bool) column must not change how the other
+    rows hash: the hash of a whole table equals the combined hashes of any
+    split of its rows, also when written as several row groups."""
+    import pandas as pd
+
+    from newsagency_classification_ray.pipelines.graph import _hash_partition_files
+    from newsagency_classification_ray.state.manifest import (
+        batch_content_hash, combine_hashes)
+
+    t = pa.table({
+        "x": pa.array([1, None, 3], type=pa.int64()),
+        "y": pa.array([7, 8, None], type=pa.int32()),
+        "ok": pa.array([True, None, False]),
+        "s": pa.array(["a", None, "c"]),
+    })
+    whole = batch_content_hash(t)
+    for cut in range(len(t) + 1):
+        parts = [batch_content_hash(t.slice(0, cut)), batch_content_hash(t.slice(cut))]
+        assert combine_hashes(parts) == whole, cut
+    pq.write_table(t, str(tmp_path / "a.parquet"), row_group_size=1)
+    assert _hash_partition_files(str(tmp_path)) == (3, whole)
+    # null-free columns hash exactly as before the nullable conversion
+    u = pa.table({"x": pa.array([1, 2], type=pa.int64()), "ok": [True, False]})
+    assert batch_content_hash(u) == int(
+        pd.util.hash_pandas_object(u.to_pandas(), index=False).sum()) & ((1 << 64) - 1)
