@@ -40,7 +40,6 @@ class PipelineConfig:
     dedup: bool | str = True
     salt_buckets: int = 32
     num_partitions: int = 16
-    langs: tuple[str, ...] = ("de", "fr")
     gexf_path: str | None = None
 
 

@@ -33,6 +33,7 @@ from ..state.manifest import (
     incomplete_partitions,
     write_manifest,
 )
+from .kg import MENTION_ROWS_PER_BLOCK
 
 # write_parquet lazily imports fsspec.implementations.http, which fails here
 # (no aiohttp) — harmless single-threaded (caught upstream), but concurrent
@@ -135,7 +136,11 @@ def write_partitioned(
     def add_part(t: pa.Table) -> pa.Table:
         return t.append_column("part", _crc_bucket_col(t[key_col], num_partitions))
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
+    # one block per MENTION_ROWS_PER_BLOCK rows, so the sort below and the
+    # write see as many blocks (one file per partition per block) as the
+    # rows need, whatever the union or aggregate upstream produced
+    parted = ds.map_batches(add_part, batch_format="pyarrow",
+                            batch_size=MENTION_ROWS_PER_BLOCK)
     todo_ids = [int(k.split("=")[1]) for k in todo]
     parted = parted.map_batches(
         lambda t, ids=tuple(todo_ids): t.filter(
@@ -249,10 +254,11 @@ def materialize_graph(
 
     The three table writes are independent Dataset executions — run them
     concurrently from driver threads so their (small) exchanges and write
-    tasks interleave instead of serializing. On small CPU budgets the writes
-    run serially instead: concurrent executions of un-materialized flagship
-    branches compete for the same few CPU slots (observed as a stall at 8
-    CPUs while the tagger and linker still ran as actor pools).
+    tasks interleave instead of serializing. Below 16 CPUs the writes run
+    serially instead: three executions, each with its own sort and write
+    tasks, then compete for the same few CPU slots and hold their blocks in
+    the object store at the same time. Lowering the threshold needs a
+    paired measurement of both wall time and peak memory.
     """
     from concurrent.futures import ThreadPoolExecutor
 

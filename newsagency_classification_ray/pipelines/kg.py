@@ -27,6 +27,11 @@ Scale notes (the 100 TB story):
   mention rows), so the default pipeline has NO full-input shuffle at all;
   ``dedup="pages"`` opts into the payload-moving ``dedup_by_url`` only for
   inputs whose duplicates are not exact copies.
+* Mention-scale datasets have one block per :data:`MENTION_ROWS_PER_BLOCK`
+  rows, set by the ``batch_size`` of the map at each source (derived
+  columns, checkpoint read, graph partition key). A range ``sort`` keeps its
+  input's block count, so the source fixes the width of every exchange
+  after it and the number of files each partitioned write leaves.
 * Every keyed aggregate is :func:`keyed_aggregate`: a range-partitioning
   ``sort`` on the key, then ONE Arrow ``group_by`` kernel per block — no
   per-group Python (Ray's ``groupby().aggregate()`` reduces each group in a
@@ -54,6 +59,8 @@ from ..stages.tagger import TaggerStage
 from ..stages.warm import warm_stage
 
 DEFAULT_SALT_BUCKETS = 32
+# rows per block at each mention-scale source (~18 MB of mention rows)
+MENTION_ROWS_PER_BLOCK = 65_536
 
 
 def read_pages(path: str, columns: list[str] | None = None, **kwargs) -> Dataset:
@@ -114,25 +121,24 @@ def extract_mentions(
     linker_concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int = 256,
     dedup: bool | str = True,
-    mention_rows_per_block: int | None = 65_536,
     model: str = "alias",
 ) -> Dataset:
     """pages → mentions (tag + link) on warm task workers.
 
     ``tagger_concurrency`` / ``linker_concurrency`` cap the number of
     concurrent tasks of each stage: an int is the cap, a ``(min, max)``
-    tuple's ``max`` is. The linker's 4096-row batches also merge the small
-    tagger outputs into few blocks for the exchanges downstream.
+    tuple's ``max`` is.
 
     ``dedup``: ``"mentions"`` / ``True`` dedups duplicate pages on the *small*
     side (identical mention rows, see :func:`dedup_mentions`); ``"pages"``
     shuffles the full page payload through :func:`dedup_by_url` first
     (needed only when duplicate pages are NOT exact copies); ``False`` skips.
 
-    ``mention_rows_per_block``: mention output is ~10³× smaller than the page
-    input, so blocks inherited from the read are tiny; coalescing them (no
-    shuffle) keeps every downstream exchange from paying per-partition task
-    overhead proportional to the *input* block count.
+    Mention output is ~10³× smaller than the page input, so the blocks
+    inherited from the read are tiny. The derived-column map takes batches
+    of :data:`MENTION_ROWS_PER_BLOCK` rows, which merges them into one block
+    per that many mention rows (no shuffle), so the exchanges downstream are
+    as wide as the mention rows need, not as the input's block count.
     """
     ds = pages.map_batches(filter_pages, batch_format="pyarrow")
     if dedup == "pages":
@@ -153,11 +159,10 @@ def extract_mentions(
         concurrency=_task_cap(linker_concurrency),
         num_cpus=1,
     )
-    ds = ds.map_batches(_derive_mention_meta, batch_format="pyarrow")
+    ds = ds.map_batches(_derive_mention_meta, batch_format="pyarrow",
+                        batch_size=MENTION_ROWS_PER_BLOCK)
     if dedup in (True, "mentions"):
         ds = dedup_mentions(ds)
-    if mention_rows_per_block:
-        ds = ds.repartition(target_num_rows_per_block=mention_rows_per_block)
     return ds
 
 
@@ -594,7 +599,12 @@ def read_checkpointed_mentions(out_root: str, *, dedup: bool = True) -> Dataset:
     """Union of all checkpointed shard partitions, with the mention-row
     dedup re-applied (cross-shard duplicate pages; see
     :func:`extract_mentions_checkpointed`) so the result is equal to a
-    monolithic :func:`extract_mentions` run over the whole corpus."""
+    monolithic :func:`extract_mentions` run over the whole corpus.
+
+    The read splits the files into as many blocks as Ray's default
+    parallelism asks for; the shard-column drop takes batches of
+    :data:`MENTION_ROWS_PER_BLOCK` rows, which merges them back into one
+    block per that many rows before the dedup's range sort."""
     import glob as _glob
     import os as _os
 
@@ -610,7 +620,7 @@ def read_checkpointed_mentions(out_root: str, *, dedup: bool = True) -> Dataset:
     ds = ray.data.read_parquet(files).map_batches(
         lambda t: t.drop_columns(["shard"]) if "shard" in t.column_names
         else t,
-        batch_format="pyarrow")
+        batch_format="pyarrow", batch_size=MENTION_ROWS_PER_BLOCK)
     return dedup_mentions(ds) if dedup else ds
 
 

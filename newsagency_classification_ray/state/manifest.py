@@ -173,7 +173,16 @@ def vacuum(out_root: str) -> dict[str, list[str]]:
     writer needs so crashed runs cannot leak disk forever. Unpublished
     partition directories are removed whole; a PUBLISHED partition keeps
     its manifest and live ``data_files`` and loses only the orphaned
-    extras."""
+    extras.
+
+    Single-writer assumption: nothing else may write under ``out_root``
+    while this runs. An in-flight :func:`compact_partition` holds a
+    ``compacted.parquet.tmp`` (then a ``compacted.parquet``) that no
+    manifest lists yet, so a concurrent vacuum deletes it as an orphan:
+    the compaction then fails, or publishes a manifest naming a file that
+    is gone. An unpublished partition that a writer is still filling is
+    removed whole the same way. Run vacuum only between jobs, never
+    beside a writer or a compaction."""
     import shutil
 
     orphans = find_orphans(out_root)

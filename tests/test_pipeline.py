@@ -153,3 +153,49 @@ def test_empty_corpus_survives_every_stage(tmp_path):
     assert kg.triples(mentions).count() == 0
     assert kg.canonicalize(mentions).count() == 0
     assert kg.cooccurrence_edges(mentions).count() == 0
+
+
+def test_small_blocks_keep_key_runs_whole(tmp_path):
+    """The aggregates and the graph write rely on each sort-key run landing
+    in one block. The mention sources merge their rows into one large
+    batch, which Ray splits again under a small ``target_max_block_size``;
+    at 64 KiB the written node, edge and mention tables must equal the
+    default run's."""
+    import os
+
+    from ray.data import DataContext
+
+    from newsagency_classification_ray.pipelines.graph import materialize_graph
+
+    pdir = tmp_path / "pages"
+    pdir.mkdir()
+    pq.write_table(gen_pages_table(8000), str(pdir / "s0.parquet"))
+    mdir = str(tmp_path / "mentions")
+    kg.extract_mentions_checkpointed(str(pdir), mdir)
+
+    def build(out: str) -> tuple[int, dict[str, pd.DataFrame]]:
+        m = kg.read_checkpointed_mentions(mdir).materialize()
+        trip = kg.triples(m)
+        nodes = kg.build_nodes(kg.canonicalize(m), trip)
+        edges = kg.build_edges(trip, kg.cooccurrence_edges(m))
+        materialize_graph(nodes, edges, m, out, num_partitions=4)
+        tables = {}
+        for name in ("nodes", "edges", "mentions"):
+            df = pq.read_table(os.path.join(out, name)).to_pandas()
+            df["part"] = df["part"].astype(int)
+            tables[name] = df.sort_values(list(df.columns)).reset_index(drop=True)
+        return m.num_blocks(), tables
+
+    _, want = build(str(tmp_path / "default"))
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 * 1024
+    try:
+        n_blocks, got = build(str(tmp_path / "small"))
+    finally:
+        ctx.target_max_block_size = old
+    assert n_blocks > 1  # the small blocks really split the mention table
+    assert got["nodes"]["node_id"].is_unique
+    assert not got["edges"].duplicated(["src", "dst", "predicate", "year"]).any()
+    for name in want:
+        pd.testing.assert_frame_equal(got[name], want[name])
