@@ -4,7 +4,8 @@
 synthetic pages corpus (BASELINE.json input_hint shape) and returns the
 triples Dataset. ``queries()`` / ``oracle_sql()`` expose every implemented
 operator pipeline (SURVEY.md §2 + training-data extras) with DuckDB oracles
-where SQL-expressible.
+where SQL-expressible. ``queries()`` returns the registry's own callables:
+every call runs the engine, nothing is cached.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
 below calls ``ray.init()`` / ``ray.shutdown()``.
@@ -28,17 +29,11 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2.
+    """One entry per implemented operator/pipeline from SURVEY.md §2,
+    uncached."""
+    from newsagency_classification_ray.queries import QUERIES
 
-    Each callable is memoized through the lineage-fingerprinted result
-    cache (``state.result_cache``): repeated driver sweeps over unchanged
-    inputs + unchanged engine sources return the materialized parquet
-    instead of recomputing; any input or code change misses by
-    construction. ``NACR_RESULT_CACHE=0`` disables."""
-    from newsagency_classification_ray.queries import (
-        QUERIES, wrap_with_result_cache)
-
-    return wrap_with_result_cache(dict(QUERIES))
+    return dict(QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:

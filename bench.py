@@ -3,7 +3,7 @@
 Headline: the flagship KG pipeline (synthetic Common-Crawl-style pages →
 mentions → triples + canonicalization + co-occurrence → partitioned graph
 write) at the scale factor of ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1
-→ 200k pages), plus representative operator pipelines over the sf tables.
+→ 200k pages).
 
 ``python bench.py``            one timed run at $RAY_GRAFT_CPUS (default 32)
 ``python bench.py --scaling``  same job in fresh processes at 8 and 32 CPUs →
@@ -26,9 +26,9 @@ Scaling metric definition (both numbers are first-class, see BASELINE.md):
   busy cores, so co-tenant load contaminates both numbers.
 
 Each run also emits ``phases`` (flagship internal walls: mention extraction,
-the three aggregates, graph write) and ``stage_breakdown`` (per-operator
-wall seconds parsed from ``ds.stats()`` for the slowest secondary queries),
-so environment noise and code regressions are separable after the fact.
+the three aggregates, graph write, and the per-operator walls of the
+extraction parsed from ``ds.stats()``), so environment noise and code
+regressions are separable after the fact.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ def run_bench() -> dict:
     from newsagency_classification_ray.sources.pages import (
         ensure_pages, pages_count_for_sf, sf_of_dir,
     )
-    import newsagency_classification_ray.queries as Q
 
     # untimed: build/warm the synthetic pages corpus + OS page cache
     pages_path = ensure_pages(sf_dir, mult=mult)
@@ -103,24 +102,10 @@ def run_bench() -> dict:
             while f.read(1 << 24):
                 pass
 
-    # sub-5s query timings are dominated by co-tenant noise in single runs
-    # (r1→r2 showed ±50 % swings on untouched code paths); report the MEDIAN
-    # of N runs plus the spread so real regressions are separable from noise.
-    # Scaling legs force repeats=1 (only the flagship number feeds efficiency).
+    # single runs are dominated by co-tenant noise (r1→r2 showed ±50 %
+    # swings on untouched code paths); report the MEDIAN of N runs plus the
+    # spread so real regressions are separable from noise.
     repeats = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
-    queries: dict[str, float] = {}
-    runs: dict[str, list[float]] = {}
-
-    def timed(name: str, fn, n: int | None = None):
-        out = None
-        ts = []
-        for _ in range(n if n is not None else repeats):
-            t0 = time.perf_counter()
-            out = fn()
-            ts.append(round(time.perf_counter() - t0, 3))
-        runs[name] = ts
-        queries[name] = round(statistics.median(ts), 3)
-        return out
 
     # headline: full KG construction incl. partitioned graph write
     out_root = f"/tmp/nacr_bench_out_{ncpu}"
@@ -176,121 +161,23 @@ def run_bench() -> dict:
         counts["triples"] = trip.count()
 
     # model-bound (simbert) runs cost minutes per repeat — single-shot those;
-    # the alias headline is cheap enough to median like the rest.
+    # the alias headline is cheap enough to take the median of repeats.
     # /proc/stat probe brackets the flagship runs: average busy cores over
     # the interval feeds the normalized scaling metric (see module docstring)
     _hz = os.sysconf("SC_CLK_TCK")
     _b0, _t0 = _busy_ticks(), time.perf_counter()
-    timed("kg_flagship", flagship, n=repeats if model == "alias" else 1)
+    runs = []
+    for _ in range(repeats if model == "alias" else 1):
+        t0 = time.perf_counter()
+        flagship()
+        runs.append(round(time.perf_counter() - t0, 3))
     _b1, _t1 = _busy_ticks(), time.perf_counter()
     busy_cores = round((_b1 - _b0) / _hz / max(_t1 - _t0, 1e-9), 2)
-    # the historically-slowest secondary queries also record a per-operator
-    # wall breakdown (ds.stats() of their final materialized dataset) so a
-    # future wall-time shift is attributable to a stage, not guessed
-    stage_breakdown: dict[str, dict] = {}
-
-    def timed_stats(name: str, make):
-        holder = {}
-
-        def run():
-            m = make().materialize()
-            holder["m"] = m
-            return m.count()
-
-        timed(name, run)
-        if "m" in holder:
-            stage_breakdown[name] = _op_breakdown(holder["m"])
-
-    timed("pricing_summary", lambda: Q.q_pricing_summary(sf_dir).to_pandas())
-    timed("events_hourly", lambda: Q.q_events_hourly(sf_dir).to_pandas())
-    timed("events_sessions", lambda: Q.q_events_sessions(sf_dir).count())
-    timed_stats("orders_lineitem_join", lambda: Q.q_orders_lineitem_join(sf_dir))
-    timed("docs_exact_dedup", lambda: Q.q_docs_exact_dedup(sf_dir).count())
-    timed_stats("docs_substring_dups", lambda: Q.q_docs_substring_dups(sf_dir))
-    timed_stats("docs_lm_scores", lambda: Q.q_docs_lm_scores(sf_dir))
-    timed_stats("minhash_pairs", lambda: Q.q_minhash_pairs(sf_dir))
-    timed("ann_topk", lambda: Q.q_ann_topk(sf_dir).to_pandas())
-    timed("docs_tfidf_topk", lambda: Q.q_docs_tfidf_topk(sf_dir).to_pandas())
-    timed("embeddings_kmeans", lambda: Q.q_embeddings_kmeans(sf_dir).count())
-    timed_stats("kg_pagerank", lambda: Q.q_kg_pagerank(sf_dir))
-    timed("docs_bpe_pairs", lambda: Q.q_docs_bpe_pairs(sf_dir).num_rows)
-    timed("docs_curation_e2e", lambda: Q.q_docs_curation_e2e(sf_dir).count())
-    timed("events_funnel", lambda: Q.q_events_funnel(sf_dir).num_rows)
-    timed("q5_supplier_volume", lambda: Q.q5_supplier_volume(sf_dir).count())
-    timed("events_gap_stats", lambda: Q.q_events_gap_stats(sf_dir).count())
-    timed("events_attribution",
-          lambda: Q.q_events_attribution(sf_dir).count())
-    timed("lineitem_mad", lambda: Q.q_lineitem_mad(sf_dir).num_rows)
-    timed("docs_vocab_growth", lambda: Q.q_docs_vocab_growth(sf_dir).count())
-    timed("kg_ppr", lambda: Q.q_kg_ppr(sf_dir).count())
-    timed("user_360", lambda: Q.q_user_360(sf_dir).count())
-    timed("lineitem_pareto", lambda: Q.q_lineitem_pareto(sf_dir).count())
-    timed("q3_shipping_priority",
-          lambda: Q.QUERIES["q3_shipping_priority"](sf_dir).num_rows)
-    timed("q10_returned_items",
-          lambda: Q.QUERIES["q10_returned_items"](sf_dir).num_rows)
-    timed("q18_large_volume",
-          lambda: Q.QUERIES["q18_large_volume"](sf_dir).num_rows)
-    timed("docs_pmi_bigrams", lambda: Q.q_docs_pmi_bigrams(sf_dir).num_rows)
-    timed("docs_gopher_rules",
-          lambda: Q.q_docs_gopher_rules(sf_dir).count())
-    timed("q9_product_type_profit",
-          lambda: Q.QUERIES["q9_product_type_profit"](sf_dir).count())
-    timed("q21_waiting_suppliers",
-          lambda: Q.QUERIES["q21_waiting_suppliers"](sf_dir).num_rows)
-    # late-r4 additions: layout math, vocabulary-scale text reduce, cohort
-    # groupby, dedup clustering end-to-end
-    timed("lineitem_zorder",
-          lambda: Q.QUERIES["lineitem_zorder"](sf_dir).count())
-    timed("source_vocab_stats",
-          lambda: Q.QUERIES["source_vocab_stats"](sf_dir).count())
-    timed("events_type_sets",
-          lambda: Q.QUERIES["events_type_sets"](sf_dir).count())
-    timed("dup_cluster_histogram",
-          lambda: Q.QUERIES["dup_cluster_histogram"](sf_dir).count())
-    # closing-session additions: global rank join-back, three-pass NTILE
-    # scoring, pair-counting dedup evaluation, vectorized Jaro-Winkler ER
-    timed("orders_percent_rank",
-          lambda: Q.QUERIES["orders_percent_rank"](sf_dir).count())
-    timed("customer_rfm",
-          lambda: Q.QUERIES["customer_rfm"](sf_dir).count())
-    timed("docs_cluster_quality",
-          lambda: Q.QUERIES["docs_cluster_quality"](sf_dir).count())
-    timed("part_jw_names",
-          lambda: Q.QUERIES["part_jw_names"](sf_dir).count())
-    # this-session additions: all-pairs DBSCAN, 199-way hash
-    # rerandomization, set-similarity self-join, per-key stateful replay,
-    # fact-fact interval backlog
-    timed("embeddings_dbscan",
-          lambda: Q.QUERIES["embeddings_dbscan"](sf_dir).num_rows)
-    timed("events_permutation_test",
-          lambda: Q.QUERIES["events_permutation_test"](sf_dir).num_rows)
-    timed("supplier_part_jaccard",
-          lambda: Q.QUERIES["supplier_part_jaccard"](sf_dir).num_rows)
-    timed("events_token_bucket",
-          lambda: Q.QUERIES["events_token_bucket"](sf_dir).count())
-    timed("orders_open_backlog",
-          lambda: Q.QUERIES["orders_open_backlog"](sf_dir).num_rows)
-    # round-4-closing additions: the heaviest of the new operator families
-    timed("events_overlap_join",
-          lambda: Q.QUERIES["events_overlap_join"](sf_dir).count())
-    timed("kg_katz", lambda: Q.QUERIES["kg_katz"](sf_dir).num_rows)
-    timed("kg_core_numbers",
-          lambda: Q.QUERIES["kg_core_numbers"](sf_dir).count())
-    timed("lineitem_poisson_bootstrap",
-          lambda: Q.QUERIES["lineitem_poisson_bootstrap"](sf_dir).count())
-    timed("kg_incremental_cooccurrence",
-          lambda: Q.QUERIES["kg_incremental_cooccurrence"](sf_dir).count())
-    timed("docs_distinct_ngram_diversity",
-          lambda: Q.QUERIES["docs_distinct_ngram_diversity"]
-          (sf_dir).num_rows)
-
-    headline = queries["kg_flagship"]
+    headline = round(statistics.median(runs), 3)
     result = {
         "metric": "kg_flagship_e2e",
         "value": headline,
         "unit": "sec",
-        "queries": queries,
         "sf": sf_of_dir(sf_dir),
         "num_cpus": ncpu,
         "n_pages": n_pages,
@@ -303,7 +190,6 @@ def run_bench() -> dict:
         "runs": runs,
         "busy_cores_flagship": busy_cores,
         "phases": phases,
-        "stage_breakdown": stage_breakdown,
     }
     ray.shutdown()
     return result
@@ -321,8 +207,7 @@ def run_scaling() -> dict:
     def run(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_PAGES_MULT=mult,
                    GRAFT_TAGGER_MODEL=model,
-                   # one run per leg: only the flagship time feeds efficiency,
-                   # and repeating the secondary queries would triple leg time
+                   # one run per leg: only the flagship time feeds efficiency
                    GRAFT_BENCH_REPEATS=os.environ.get("GRAFT_BENCH_REPEATS", "1"))
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)], env=env,
@@ -353,7 +238,6 @@ def run_scaling() -> dict:
         "tagger_model": model,
         "sf": r_hi["sf"],
         "value": r_hi["value"],
-        "queries": r_hi["queries"],
         "num_cpus": hi,
         "phases_lo": r_lo.get("phases"),
         "phases_hi": r_hi.get("phases"),

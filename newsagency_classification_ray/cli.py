@@ -87,23 +87,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="newsagency_classification_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    r = sub.add_parser("run", help="flagship KG construction")
-    r.add_argument("--input", required=True)
-    r.add_argument("--output", required=True)
-    r.add_argument("--model", default="alias")
+    r = sub.add_parser("run", help="flagship KG construction",
+                       argument_default=argparse.SUPPRESS)
+    r.add_argument("--input", dest="input_path", metavar="INPUT", required=True)
+    r.add_argument("--output", dest="output_root", metavar="OUTPUT",
+                   required=True)
+    r.add_argument("--model")
     def _positive(v: str) -> int:
         n = int(v)
         if n < 1:
             raise argparse.ArgumentTypeError("concurrency must be >= 1")
         return n
 
-    r.add_argument("--tagger-concurrency", type=_positive, default=None)
-    r.add_argument("--linker-concurrency", type=_positive, default=None)
-    r.add_argument("--batch-size", type=int, default=256)
-    r.add_argument("--num-partitions", type=int, default=16)
-    r.add_argument("--salt-buckets", type=int, default=32)
-    r.add_argument("--no-dedup", action="store_true")
-    r.add_argument("--gexf", default=None)
+    r.add_argument("--tagger-concurrency", type=_positive)
+    r.add_argument("--linker-concurrency", type=_positive)
+    r.add_argument("--batch-size", type=int)
+    r.add_argument("--num-partitions", type=int)
+    r.add_argument("--salt-buckets", type=int)
+    r.add_argument("--no-dedup", dest="dedup", action="store_false")
+    r.add_argument("--gexf", dest="gexf_path", metavar="GEXF")
 
     e = sub.add_parser("eval", help="strict linking conformance vs regex gold")
     e.add_argument("--input", required=True)
@@ -125,20 +127,8 @@ def main(argv: list[str] | None = None) -> dict:
         ray.init(address="local", include_dashboard=False, logging_level="ERROR",
                  runtime_env={"env_vars": {"PYTHONPATH": _worker_pythonpath()}})
     if args.cmd == "run":
-        cfg = PipelineConfig(
-            input_path=args.input,
-            output_root=args.output,
-            model=args.model,
-            tagger_concurrency=(args.tagger_concurrency
-                                if args.tagger_concurrency is not None else (2, 16)),
-            linker_concurrency=(args.linker_concurrency
-                                if args.linker_concurrency is not None else (1, 4)),
-            batch_size=args.batch_size,
-            dedup=not args.no_dedup,
-            salt_buckets=args.salt_buckets,
-            num_partitions=args.num_partitions,
-            gexf_path=args.gexf,
-        )
+        # flags left out keep the PipelineConfig defaults
+        cfg = PipelineConfig(**{k: v for k, v in vars(args).items() if k != "cmd"})
         out = run_pipeline(cfg)
     else:
         out = run_eval(args.input)

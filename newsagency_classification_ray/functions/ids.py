@@ -3,18 +3,13 @@
 * ``mention_id`` — composite ``:``-joined id, reference
   ``cli_tagger.py:220-222`` (``{doc}:{sent}:{l_sent}:{r_sent}:{l_art}:{r_art}:
   newsag:bert_{lang}``), article-offset rewrite per ``postprocess.py:63-65``.
-* URL → (host, year, decade) metadata — the webtext analogue of the
-  reference's article-id parser (``import_data.ipynb`` cell 7;
-  ``impresso_commons_selection.py:23-53``): host plays "newspaper", the
-  crawl-timestamp year plays the article date year.
-
-Both are exposed as *vectorized* helpers over numpy/pyarrow arrays — the
-per-row versions exist for tests only.
+* URL → host — the webtext analogue of the reference's article-id parser
+  (``import_data.ipynb`` cell 7; ``impresso_commons_selection.py:23-53``):
+  host plays "newspaper".
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -29,14 +24,3 @@ def host_of_urls(urls: pa.Array) -> pa.Array:
     """Vectorized ``https://{host}/...`` → ``{host}`` (Arrow kernels only)."""
     stripped = pc.replace_substring_regex(urls, pattern=r"^[a-z]+://", replacement="")
     return pc.replace_substring_regex(stripped, pattern=r"/.*$", replacement="")
-
-
-def year_of_ts(ts: pa.Array) -> pa.Array:
-    """Vectorized timestamp → int32 year."""
-    return pc.cast(pc.year(ts), pa.int32())
-
-
-def decade_of_year(years: pa.Array | np.ndarray) -> pa.Array:
-    """``year // 10 * 10`` (reference ``import_data.ipynb`` cell 7)."""
-    arr = pa.array(years) if isinstance(years, np.ndarray) else years
-    return pc.multiply(pc.divide(pc.cast(arr, pa.int32()), 10), 10)

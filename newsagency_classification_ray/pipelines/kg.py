@@ -387,15 +387,6 @@ def cooccurrence_edges(mentions: Dataset) -> Dataset:
     )
 
 
-def url_hash_bucket(urls: pa.Array, buckets: int) -> pa.Array:
-    """Deterministic partition id per url (resume/partition key) — delegates
-    to the graph writer's vectorized stable hash so every component maps a
-    url to the same partition."""
-    from .graph import _crc_bucket_col
-
-    return _crc_bucket_col(urls, buckets)
-
-
 def build_nodes(canonical_rollup: Dataset, triples_ds: Dataset) -> Dataset:
     """F6 nodes table: agency nodes (from canonicalization) ∪ article nodes.
 

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textproc import edit_distance, normalize_surface
-from ..vocab import ALIAS_TO_CANONICAL_NORM, WIKIDATA_IDS, qid_for_label
+from ..vocab import ALIAS_TO_CANONICAL_NORM, qid_for_label
 
 
 class LinkerStage:
@@ -134,14 +134,3 @@ class LinkerStage:
             .append_column("qid", qid)
             .append_column("link_score", score)
         )
-
-
-def agency_nodes_table() -> pa.Table:
-    """Static agency node table (canonical, qid) — broadcast dimension."""
-    names = list(WIKIDATA_IDS)
-    return pa.table(
-        {
-            "canonical": pa.array(names, type=pa.string()),
-            "qid": pa.array([WIKIDATA_IDS[n] for n in names], type=pa.string()),
-        }
-    )

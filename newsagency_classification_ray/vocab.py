@@ -126,15 +126,6 @@ AGENCY_EXISTENCE: dict[str, tuple[int, int]] = {
 }
 
 
-def fine_label(canonical: str) -> str:
-    """Fine entity label for a canonical agency, e.g. ``org.ent.pressagency.Havas``.
-
-    Mirrors the reference's label space (cli_tagger.py:191-199: short label =
-    ``fine.split('.')[-1]``).
-    """
-    return FINE_LABEL_PREFIX + canonical
-
-
 def qid_for_label(short_label: str) -> str:
     """QID lookup with the reference's exclusion semantics (cli_tagger.py:202-209).
 

@@ -1,6 +1,7 @@
 """CLI / PipelineConfig surface (SURVEY.md §2.10)."""
 
 import os
+from dataclasses import asdict
 
 from newsagency_classification_ray.cli import PipelineConfig, main, run_pipeline
 from newsagency_classification_ray.sources.pages import ensure_pages
@@ -62,4 +63,7 @@ def test_cli_runs_from_another_working_directory(tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["mentions"] == 371 and out["triples"] == 330
     assert out["write"]["nodes"]["rows"] == 212
+    # flags left out take the PipelineConfig defaults, not CLI copies of them
+    want = PipelineConfig(input_path=p, output_root="kg", num_partitions=2)
+    assert out["config"] == {k: str(v) for k, v in asdict(want).items()}
     assert os.path.exists(cwd / "kg" / "nodes" / "part=0" / "_manifest.json")

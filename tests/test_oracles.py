@@ -1,8 +1,8 @@
 """Driver-style oracle conformance at sf0.001 (§5 plan (d)).
 
 Mirrors the driver's compare — row count, sorted column names, value
-equality — over EVERY registered query, so local green == all-96 green on
-every commit, independent of the driver's first-50 sampling window.
+equality — over every registered query, so every entry is checked on
+every commit.
 
 One special case: ``kg_eval_strict``'s frozen VALUES oracle pins the sf0.01
 conformance numbers (the driver's scale); at sf0.001 the row legitimately
@@ -87,3 +87,16 @@ def test_query_matches_oracle(name, con, oracle_map, ray_session):
     assert len(got) == len(want)
     want = want.astype(got.dtypes.to_dict())
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_kg_eval_strict_unpinned_scale_warns(monkeypatch):
+    """At a scale factor with no pinned row the oracle row comes from the
+    engine itself; that must be visible, not pass as an independent pin."""
+    row = {"tp": 5, "fp": 0, "fn": 1, "precision": 1.0, "recall": 0.8333,
+           "f1": 0.9091}
+    monkeypatch.setattr(Q, "_SF001", "testdata/sf0.123")
+    monkeypatch.setattr(Q, "q_kg_eval_strict",
+                        lambda sf_dir: pa.Table.from_pylist([row]))
+    with pytest.warns(UserWarning, match=r"sf0\.123.*derived from the engine"):
+        sql = Q.O_KG_EVAL_STRICT()
+    assert "(5, 0, 1, 1.0, 0.8333, 0.9091)" in sql

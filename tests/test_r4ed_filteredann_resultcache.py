@@ -1,17 +1,11 @@
-"""Filtered ANN, lineage-keyed result cache."""
+"""Filtered ANN."""
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 import newsagency_classification_ray.queries as Q
-from newsagency_classification_ray.state.result_cache import (
-    cached_result, evict_stale, input_fingerprint)
 
 SF = "/root/testdata/sf0.001"
 
@@ -41,32 +35,3 @@ def test_filtered_ann_matches_bruteforce_and_respects_filter():
     assert set(map(tuple, t[["query_id", "vec_id"]].values)) != \
         set(map(tuple, full[["query_id", "vec_id"]].values))
 
-
-def test_result_cache_hit_miss_and_eviction(tmp_path):
-    root = str(tmp_path / "cache")
-    inp = str(tmp_path / "in.parquet")
-    pq.write_table(pa.table({"a": [1, 2, 3]}), inp)
-    calls = {"n": 0}
-
-    def compute():
-        calls["n"] += 1
-        return pa.table({"s": [6]})
-
-    t1, hit1 = cached_result(root, "sum_a", [inp], compute)
-    assert not hit1 and calls["n"] == 1 and t1["s"][0].as_py() == 6
-    t2, hit2 = cached_result(root, "sum_a", [inp], compute)
-    assert hit2 and calls["n"] == 1  # memoized: compute not re-invoked
-    assert t2.equals(t1)
-
-    # touching the input changes the fingerprint → miss, then old entry
-    # is evictable
-    fp_old = input_fingerprint([inp])
-    time.sleep(0.01)
-    pq.write_table(pa.table({"a": [1, 2, 3, 4]}), inp)
-    assert input_fingerprint([inp]) != fp_old
-    _, hit3 = cached_result(root, "sum_a", [inp], compute)
-    assert not hit3 and calls["n"] == 2
-    removed = evict_stale(root, "sum_a", [inp])
-    assert removed == [f"{fp_old}.parquet"]
-    assert sorted(os.listdir(os.path.join(root, "sum_a"))) == \
-        [f"{input_fingerprint([inp])}.parquet"]

@@ -237,41 +237,6 @@ def test_skew_join_detects_per_block_diffuse_hot_key(ray_session,
     assert join_keys and join_keys[-1] == ("k", "_salt")
 
 
-def test_result_cache_wrapper_hits_and_invalidates(ray_session, tmp_path,
-                                                   monkeypatch):
-    """queries() driver path: second call returns the memoized parquet
-    (identical values), and touching an input file's mtime invalidates."""
-    import pandas as pd
-
-    from newsagency_classification_ray.queries import wrap_with_result_cache
-
-    sf = str(tmp_path / "sfx")
-    os.makedirs(sf)
-    pq.write_table(pa.table({"x": pa.array([3, 1, 2], pa.int64())}),
-                   os.path.join(sf, "orders.parquet"))
-    calls = []
-
-    def q(sf_dir):
-        calls.append(sf_dir)
-        t = pq.read_table(os.path.join(sf_dir, "orders.parquet"))
-        return pa.table({"x": pc.sort_indices(t["x"])})
-
-    monkeypatch.delenv("NACR_RESULT_CACHE", raising=False)
-    wrapped = wrap_with_result_cache({"q": q},
-                                     cache_root=str(tmp_path / "cache"))
-    r1 = wrapped["q"](sf)
-    r2 = wrapped["q"](sf)
-    assert len(calls) == 1  # second call was a cache hit
-    assert r1.to_pydict() == r2.to_pydict()
-    # input mutation (mtime bump) misses by construction
-    os.utime(os.path.join(sf, "orders.parquet"))
-    wrapped["q"](sf)
-    assert len(calls) == 2
-    # NACR_RESULT_CACHE=0 disables wrapping entirely
-    monkeypatch.setenv("NACR_RESULT_CACHE", "0")
-    assert wrap_with_result_cache({"q": q})["q"] is q
-
-
 def test_user_window_kernels_block_split_invariance(ray_session):
     """The r5 coverage/streak kernels rely on the range sort co-locating
     each user's rows in one block; verify against a driver-side reference
@@ -333,28 +298,6 @@ def test_user_window_kernels_block_split_invariance(ray_session):
         ops_mod.read_table = orig
     assert cov == ref_cov
     assert st == ref_streak
-
-
-def test_result_cache_declines_oversized_results(tmp_path, monkeypatch):
-    import newsagency_classification_ray.queries as Q
-
-    monkeypatch.delenv("NACR_RESULT_CACHE", raising=False)
-    monkeypatch.setattr(Q, "_CACHE_MAX_ROWS", 10)
-    calls = []
-
-    def q(sf_dir):
-        calls.append(1)
-        return pa.table({"x": pa.array(np.arange(50, dtype=np.int64))})
-
-    sf = str(tmp_path / "sfy")
-    os.makedirs(sf)
-    wrapped = Q.wrap_with_result_cache({"q": q},
-                                       cache_root=str(tmp_path / "c"))
-    r1 = wrapped["q"](sf)
-    r2 = wrapped["q"](sf)
-    assert len(r1) == len(r2) == 50       # the answer still flows through
-    assert len(calls) == 2                # but is never memoized
-    assert not list((tmp_path / "c").rglob("*.parquet"))
 
 
 def test_compacted_shard_partitions_read_identically(ray_session,
