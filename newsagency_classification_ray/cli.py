@@ -9,8 +9,7 @@ Usage (also the ``ray job submit`` payload on a real cluster — see SCALE.md)::
         --input /path/to/pages_parquet_dir --output /tmp/kg_out \
         [--model alias|simbert|<hf-checkpoint>] [--tagger-concurrency 24]
         [--linker-concurrency 4]
-        [--batch-size 256] [--num-partitions 16] [--salt-buckets 32]
-        [--no-dedup] [--gexf /tmp/graph.gexf]
+        [--batch-size 256] [--num-partitions 16] [--gexf /tmp/graph.gexf]
 
     python -m newsagency_classification_ray.cli eval --input <pages_dir>
 
@@ -37,7 +36,9 @@ class PipelineConfig:
     tagger_concurrency: int | tuple[int, int] = (2, 16)
     linker_concurrency: int | tuple[int, int] = (1, 4)
     batch_size: int = 256
-    dedup: bool | str = True
+    # kg.graph_tables always drops duplicate mentions and needs no salt;
+    # both fields stay for perfbench/trace.py, which reads them
+    dedup: bool = True
     salt_buckets: int = 32
     num_partitions: int = 16
     gexf_path: str | None = None
@@ -47,20 +48,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the flagship end-to-end per config; returns the write summary."""
     from .pipelines import graph, kg
 
-    pages = kg.read_pages(cfg.input_path)
-    mentions = kg.extract_mentions(
-        pages,
+    g = kg.graph_tables(kg.extract_mentions(
+        kg.read_pages(cfg.input_path),
         tagger_concurrency=cfg.tagger_concurrency,
         linker_concurrency=cfg.linker_concurrency,
         batch_size=cfg.batch_size,
-        dedup=cfg.dedup,
+        dedup=False,
         model=cfg.model,
-    ).materialize()
-    trip = kg.triples(mentions).materialize()
-    canon = kg.canonicalize(mentions, salt_buckets=cfg.salt_buckets).materialize()
-    cooc = kg.cooccurrence_edges(mentions).materialize()
-    nodes = kg.build_nodes(canon, trip)
-    edges = kg.build_edges(trip, cooc)
+    ))
+    # mentions and edges are counted below as well as written
+    mentions, nodes, edges = g["mentions"].materialize(), g["nodes"], g["edges"].materialize()
     summary = graph.materialize_graph(
         nodes, edges, mentions, cfg.output_root,
         num_partitions=cfg.num_partitions,
@@ -71,7 +68,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     return {
         "config": {k: str(v) for k, v in asdict(cfg).items()},
         "mentions": mentions.count(),
-        "triples": trip.count(),
+        "triples": edges.filter(expr="predicate == 'cites_agency'").count(),
         "write": {name: {"written": len(s["written"]), "skipped": len(s["skipped"]),
                          "rows": s["row_count"]} for name, s in summary.items()},
     }
@@ -103,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--linker-concurrency", type=_positive)
     r.add_argument("--batch-size", type=int)
     r.add_argument("--num-partitions", type=int)
-    r.add_argument("--salt-buckets", type=int)
-    r.add_argument("--no-dedup", dest="dedup", action="store_false")
     r.add_argument("--gexf", dest="gexf_path", metavar="GEXF")
 
     e = sub.add_parser("eval", help="strict linking conformance vs regex gold")

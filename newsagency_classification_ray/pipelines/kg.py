@@ -1,15 +1,17 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.1 dataflow).
 
     read_parquet(pages) → filter(lang, nonempty)            # M1/M2, stateless
-      → exact dedup by url                                  # D1 (README.md:86 dup bug)
       → map_batches(extract_text)                           # byte-identical text
       → map_batches(_tag_batch,  concurrency=cap)           # T1 on warm task workers
       → map_batches(_link_batch, concurrency=cap)           # T5 on warm task workers
-      → mentions ──┬─ write_parquet(mentions/)
-                   ├─ triples  (url, 'cites_agency', qid, year, n_mentions)
-                   ├─ canonicalize: SALTED keyed aggregate on normalized surface form  # A2
-                   ├─ co-occurrence edges per (host, year)                              # A3
-                   └─ sorted, partitioned graph materialize with manifests              # F6
+      → mentions (duplicate pages still duplicated)
+      → graph_tables: ONE sort("host"), materialized; per whole-host block:
+            mention_id dedup                                # D1 (README.md:86 dup bug)
+            cites edges + article nodes, complete per block
+            agency partials (canonical, qid, n)             # A2
+            co-occurrence pairs per (host, year)            # A3
+         → one keyed merge for nodes, one for edges
+      → sorted, partitioned graph materialize with manifests  # F6
 
 Scale notes (the 100 TB story):
 * Every stage before the mentions table is a streaming ``map_batches`` over
@@ -23,23 +25,26 @@ Scale notes (the 100 TB story):
   and writes around the stages always get a CPU slot (no deadlock at one
   CPU), and the pre-started workers stay alive and warm across jobs.
 * Nothing page-sized ever enters an exchange: duplicate pages are deduped on
-  the mention side (``dedup_mentions`` — identical pages yield byte-identical
-  mention rows), so the default pipeline has NO full-input shuffle at all;
-  ``dedup="pages"`` opts into the payload-moving ``dedup_by_url`` only for
-  inputs whose duplicates are not exact copies.
+  the mention side (identical pages yield byte-identical mention rows), so
+  the pipeline has NO full-input shuffle at all.
 * Mention-scale datasets have one block per :data:`MENTION_ROWS_PER_BLOCK`
   rows, set by the ``batch_size`` of the map at each source (derived
   columns, checkpoint read, graph partition key). A range ``sort`` keeps its
   input's block count, so the source fixes the width of every exchange
   after it and the number of files each partitioned write leaves.
+* One shared partitioning serves every graph table (:func:`graph_tables`):
+  ``host`` is a function of ``url`` and ``mention_id`` embeds the url, so
+  after the host sort each block holds whole urls, whole (host, year)
+  groups and whole duplicate runs. The per-block kernels emit complete
+  cites edges and article nodes and at most one partial row per agency or
+  co-occurring pair per block, so only two merges follow — the Zipf head
+  (Reuters/Havas, reference README.md:88-90) never reaches an exchange as
+  more than one row per block, and no salt is needed. A hot host lands in
+  one block, as a hot (host, year) group did before.
 * Every keyed aggregate is :func:`keyed_aggregate`: a range-partitioning
   ``sort`` on the key, then ONE Arrow ``group_by`` kernel per block — no
   per-group Python (Ray's ``groupby().aggregate()`` reduces each group in a
   Python loop).
-* Canonicalization pre-aggregates inside ``map_batches`` (combiner), salts the
-  Zipfian surface-form key (Reuters/Havas head — reference README.md:88-90),
-  merges partials, then de-salts: two cheap shuffles over partial rows instead
-  of one skewed shuffle over every mention.
 """
 
 from __future__ import annotations
@@ -70,15 +75,19 @@ def read_pages(path: str, columns: list[str] | None = None, **kwargs) -> Dataset
     )
 
 
-def _drop_dup_runs(key: str):
-    """Vectorized keep-first-of-run over a block sorted by ``key``."""
+def _drop_dup_runs(keys: str | list[str]):
+    """Vectorized keep-first-of-run over a block sorted by ``keys``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
     def fn(t: pa.Table) -> pa.Table:
         if len(t) <= 1:
             return t
-        col = t[key].combine_chunks()
-        neq = pc.not_equal(col.slice(1), col.slice(0, len(t) - 1))
-        keep = pa.chunked_array([pa.array([True]), pc.fill_null(neq, True)])
-        return t.filter(keep)
+        neq = None
+        for k in keys:
+            col = t[k].combine_chunks()
+            ne = pc.fill_null(pc.not_equal(col.slice(1), col.slice(0, len(t) - 1)), True)
+            neq = ne if neq is None else pc.or_(neq, ne)
+        return t.filter(pa.chunked_array([pa.array([True]), neq]))
     return fn
 
 
@@ -120,7 +129,7 @@ def extract_mentions(
     tagger_concurrency: int | tuple[int, int] = (1, 8),
     linker_concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int = 256,
-    dedup: bool | str = True,
+    dedup: bool = True,
     model: str = "alias",
 ) -> Dataset:
     """pages → mentions (tag + link) on warm task workers.
@@ -129,10 +138,10 @@ def extract_mentions(
     concurrent tasks of each stage: an int is the cap, a ``(min, max)``
     tuple's ``max`` is.
 
-    ``dedup``: ``"mentions"`` / ``True`` dedups duplicate pages on the *small*
-    side (identical mention rows, see :func:`dedup_mentions`); ``"pages"``
-    shuffles the full page payload through :func:`dedup_by_url` first
-    (needed only when duplicate pages are NOT exact copies); ``False`` skips.
+    ``dedup=True`` drops the mention rows of duplicate pages on the *small*
+    side (identical mention rows, see :func:`dedup_mentions`); ``False``
+    keeps them, for callers that dedup later (:func:`graph_tables` does it
+    inside its host exchange).
 
     Mention output is ~10³× smaller than the page input, so the blocks
     inherited from the read are tiny. The derived-column map takes batches
@@ -141,8 +150,6 @@ def extract_mentions(
     as wide as the mention rows need, not as the input's block count.
     """
     ds = pages.map_batches(filter_pages, batch_format="pyarrow")
-    if dedup == "pages":
-        ds = dedup_by_url(ds)
     ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
     ds = ds.map_batches(
         _tag_batch,
@@ -161,9 +168,7 @@ def extract_mentions(
     )
     ds = ds.map_batches(_derive_mention_meta, batch_format="pyarrow",
                         batch_size=MENTION_ROWS_PER_BLOCK)
-    if dedup in (True, "mentions"):
-        ds = dedup_mentions(ds)
-    return ds
+    return dedup_mentions(ds) if dedup else ds
 
 
 def _task_cap(concurrency: int | tuple[int, int]) -> int:
@@ -171,7 +176,17 @@ def _task_cap(concurrency: int | tuple[int, int]) -> int:
 
 
 def _tag_batch(batch: pa.Table, model: str) -> pa.Table:
-    return warm_stage(TaggerStage, model=model)(batch)
+    """Tag a page batch. The tagger emits mention columns only, so a
+    ``shard`` column (checkpointed extraction) is carried over here: each
+    shard's pages are tagged apart and their mentions labelled with it."""
+    tagger = warm_stage(TaggerStage, model=model)
+    if "shard" not in batch.column_names:
+        return tagger(batch)
+    parts = []
+    for s in pc.unique(batch["shard"]).to_pylist() or [None]:  # [None]: empty batch
+        m = tagger(batch.filter(pc.equal(batch["shard"], pa.scalar(s, pa.string()))))
+        parts.append(m.append_column("shard", pa.array([s] * len(m), pa.string())))
+    return pa.concat_tables(parts)
 
 
 def _link_batch(batch: pa.Table) -> pa.Table:
@@ -179,7 +194,8 @@ def _link_batch(batch: pa.Table) -> pa.Table:
 
 
 def keyed_aggregate(ds: Dataset, keys: str | list[str],
-                    aggs: dict[str, tuple[str, str]]) -> Dataset:
+                    aggs: dict[str, tuple[str, str]], *,
+                    partition_by: str | list[str] | None = None) -> Dataset:
     """``groupby(keys).aggregate(...)`` as one Arrow kernel per block.
 
     ``aggs`` maps each output column to ``(input column, pyarrow hash
@@ -191,6 +207,10 @@ def keyed_aggregate(ds: Dataset, keys: str | list[str],
     aggregate — where Ray's ``groupby().aggregate()`` reduces each group in
     a Python loop. Single-threaded ``group_by`` emits groups in order of
     first appearance, so the sorted blocks stay sorted by key.
+
+    ``partition_by`` sorts on a prefix of ``keys`` instead, e.g. a key that
+    determines the others: all rows of a full key still share one block, and
+    the range partitioner never compares a nullable key column.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
 
@@ -200,7 +220,8 @@ def keyed_aggregate(ds: Dataset, keys: str | list[str],
         return pa.table({**{k: g[k] for k in keys},
                          **{out: g[f"{col}_{f}"] for out, (col, f) in aggs.items()}})
 
-    return ds.sort(keys).map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return ds.sort(partition_by or keys).map_batches(fn, batch_format="pyarrow",
+                                                     batch_size=None)
 
 
 def _derive_mention_meta(batch: pa.Table) -> pa.Table:
@@ -461,6 +482,124 @@ def build_edges(triples_ds: Dataset, cooccur_ds: Dataset) -> Dataset:
     )
 
 
+def graph_tables(mentions: Dataset) -> dict[str, Dataset]:
+    """Mentions (duplicates allowed) → the ``mentions``, ``nodes`` and
+    ``edges`` tables of the graph, from ONE shared exchange.
+
+    ``sort("host")`` is materialized once. ``host`` is a function of
+    ``url`` and ``mention_id`` embeds the url, so each block holds whole
+    urls, whole (host, year) groups and every copy of a duplicate mention.
+    The kernels below read those blocks as they are (``batch_size=None``;
+    a map's own output may be split again by block size, so no kernel
+    reads another kernel's output):
+
+    * :func:`_dedup_block` — the mention_id dedup, the ``mentions`` table;
+    * :func:`_node_partials` — complete article nodes, per-block agency
+      partials per (canonical, qid);
+    * :func:`_edge_partials` — complete cites edges, per-block
+      co-occurrence pair contributions per (host, year).
+
+    One keyed merge per table then sums the partials. The result equals
+    ``dedup_mentions`` + ``build_nodes(canonicalize, triples)`` +
+    ``build_edges(triples, cooccurrence_edges)`` row for row, with 3
+    exchanges in place of 9. The three tables are lazy over the
+    materialized host blocks; each is computed where it is consumed.
+    """
+    hosted = mentions.sort("host").materialize()
+
+    def per_block(fn) -> Dataset:
+        return hosted.map_batches(fn, batch_format="pyarrow", batch_size=None)
+
+    nodes = keyed_aggregate(per_block(_node_partials),
+                            ["node_id", "kind", "qid", "label"],
+                            {"n_mentions": ("n_mentions", "sum")},
+                            partition_by="node_id")
+    edges = keyed_aggregate(per_block(_edge_partials), ["src", "dst", "predicate", "year"],
+                            {c: (c, "sum") for c in ("weight", "freq_src", "freq_dst")})
+    return {"mentions": per_block(_dedup_block), "nodes": nodes, "edges": edges}
+
+
+def _dedup_block(t: pa.Table) -> pa.Table:
+    """Keep the first of each ``mention_id`` run of a whole-host block."""
+    if len(t) > 1:
+        t = t.take(pc.sort_indices(t, sort_keys=[("mention_id", "ascending")]))
+    return _drop_dup_runs("mention_id")(t)
+
+
+def _linked(t: pa.Table) -> pa.Table:
+    return t.filter(pc.not_equal(t["qid"], "NIL"))
+
+
+def _count(t: pa.Table, keys: list[str], extra=()) -> pa.Table:
+    """``count_all`` per ``keys`` as ``n`` (plus ``extra`` aggregates by
+    name), selected by NAME (pyarrow's output order is version-dependent)."""
+    g = t.select(keys + [c for c, _ in extra]).group_by(keys, use_threads=False) \
+        .aggregate([([], "count_all"), *extra])
+    return pa.table({**{k: g[k] for k in keys}, "n": g["count_all"],
+                     **{f"{c}_{f}": g[f"{c}_{f}"] for c, f in extra}})
+
+
+def _const(value: str, n: int) -> pa.Array:
+    return pa.array([value] * n, type=pa.string())
+
+
+def _node_partials(t: pa.Table) -> pa.Table:
+    """Article nodes (complete: the block holds the whole url) and agency
+    partials per (canonical, qid) in the :func:`build_nodes` schema."""
+    t = _dedup_block(t)
+    named = t.filter(pc.not_equal(t["canonical"], ""))
+    agency = _count(named, ["canonical", "qid"])
+    article = _count(_linked(t), ["url"])
+    return pa.concat_tables([
+        pa.table({
+            "node_id": pc.if_else(
+                pc.equal(agency["qid"], "NIL"),
+                pc.binary_join_element_wise("agency:", agency["canonical"], ""),
+                agency["qid"]),
+            "kind": _const("agency", len(agency)),
+            "qid": agency["qid"],
+            "label": agency["canonical"],
+            "n_mentions": agency["n"],
+        }),
+        pa.table({
+            "node_id": article["url"],
+            "kind": _const("article", len(article)),
+            "qid": pa.nulls(len(article), pa.string()),
+            "label": article["url"],
+            "n_mentions": article["n"],
+        }),
+    ])
+
+
+def _edge_partials(t: pa.Table) -> pa.Table:
+    """Cites edges (complete: count and max year per (url, qid)) and the
+    co-occurrence pair contributions of each whole (host, year) group, in
+    the :func:`build_edges` schema."""
+    linked = _linked(_dedup_block(t))
+    cites = _count(linked, ["url", "qid"], [("year", "max")])
+    pairs = _emit_pairs_sorted_runs(_count(linked, ["host", "year", "qid"]))
+    return pa.concat_tables([
+        pa.table({
+            "src": cites["url"],
+            "dst": cites["qid"],
+            "predicate": _const("cites_agency", len(cites)),
+            "year": cites["year_max"],
+            "weight": cites["n"],
+            "freq_src": pa.nulls(len(cites), pa.int64()),
+            "freq_dst": pa.nulls(len(cites), pa.int64()),
+        }),
+        pa.table({
+            "src": pairs["src_qid"],
+            "dst": pairs["dst_qid"],
+            "predicate": _const("co_occurs_with", len(pairs)),
+            "year": pairs["year"],
+            "weight": pairs["weight"],
+            "freq_src": pairs["freq_src"],
+            "freq_dst": pairs["freq_dst"],
+        }),
+    ])
+
+
 def incremental_mentions(base: Dataset, delta: Dataset) -> Dataset:
     """Incremental KG update: merge a new crawl increment's mention table
     into an existing one. Because every downstream aggregate (triples,
@@ -499,7 +638,6 @@ def extract_mentions_checkpointed(
     pages_dir: str,
     out_root: str,
     *,
-    wave_size: int = 1,
     model: str = "alias",
     tagger_concurrency: int | tuple[int, int] = (1, 8),
 ) -> dict:
@@ -513,16 +651,17 @@ def extract_mentions_checkpointed(
     cover both failure units (a lost input shard task, a lost output
     partition write).
 
-    Shards are processed in waves of ``wave_size`` (default 1:
-    sequential shards, FULL cluster parallelism inside each shard — at
-    crawl scale one shard alone saturates the cluster). The tagger and
-    linker run as plain tasks that hold no CPU between batches, so any
-    wave size fits any CPU budget; a larger wave only adds branches
-    competing for the same task slots. Within a wave the branches
-    execute as ONE streaming union. The manifest is written AFTER the
-    wave's data files (crash ⇒ no manifest ⇒ redone).
+    Every shard to redo is extracted in ONE execution: one read of their
+    files with the source path of each page (``include_paths``), whose
+    file name becomes a ``shard`` column that :func:`_tag_batch` carries
+    onto the mentions. One ``sort(["shard", "mention_id"])`` and a
+    run-compare over both keys drop duplicates within each shard (never
+    across shards), and one write partitions the rows by shard. Each
+    shard's manifest is written AFTER the write has finished (crash ⇒
+    no manifest ⇒ redone); a shard that yields no mentions gets an empty
+    partition with a 0-row manifest.
 
-    Cross-shard duplicate pages cannot dedup inside a shard run —
+    Cross-shard duplicate pages are not deduped here —
     :func:`read_checkpointed_mentions` re-applies the mention-row dedup
     (mention-scale, cheap) so the union is byte-equal to a monolithic
     ``extract_mentions`` run.
@@ -535,6 +674,7 @@ def extract_mentions_checkpointed(
     import time as _time
 
     from ..state.manifest import incomplete_partitions, write_manifest
+    from .graph import hash_partition_task
 
     shards = sorted(_glob.glob(_os.path.join(pages_dir, "*.parquet")))
 
@@ -545,45 +685,47 @@ def extract_mentions_checkpointed(
     todo = set(incomplete_partitions(out_root, keys))
     skipped = sorted(set(keys) - todo)
     todo_files = [f for f in shards if key_of(f) in todo]
+    if not todo_files:
+        return {"written": [], "skipped": skipped, "row_count": 0}
+    t0 = _time.time()
+    pages = read_pages(todo_files, include_paths=True).map_batches(
+        _shard_of_path, batch_format="pyarrow")
+    m = extract_mentions(pages, model=model, tagger_concurrency=tagger_concurrency,
+                         dedup=False)
+    m = m.sort(["shard", "mention_id"]).map_batches(
+        _drop_dup_runs(["shard", "mention_id"]), batch_format="pyarrow",
+        batch_size=None)
+    for f in todo_files:  # scrub stale partials from a crashed run
+        pdir = _os.path.join(out_root, key_of(f))
+        if _os.path.isdir(pdir):
+            _shutil.rmtree(pdir)
+    m.write_parquet(out_root, partition_cols=["shard"])
+    # manifest pass: one Ray task per shard partition (the same
+    # _hash_partition_files task as graph.write_partitioned — a serial
+    # row-group loop in this process was the resume layer's bottleneck at
+    # 10⁵ crawl shards)
+    _hash_partition = hash_partition_task()
+    pending = []
+    for f in todo_files:
+        pdir = _os.path.join(out_root, key_of(f))
+        _os.makedirs(pdir, exist_ok=True)
+        pending.append((f, pdir, _hash_partition.remote(pdir)))
     written: list[str] = []
     total = 0
-    for w0 in range(0, len(todo_files), wave_size):
-        wave = todo_files[w0:w0 + wave_size]
-        t0 = _time.time()
-        ds = None
-        for f in wave:
-            m = extract_mentions(read_pages(f), model=model,
-                                 tagger_concurrency=tagger_concurrency)
-            tag = key_of(f).split("=", 1)[1]
-            b = m.map_batches(
-                lambda t, s=tag: t.append_column(
-                    "shard", pa.array([s] * len(t), pa.string())),
-                batch_format="pyarrow")
-            ds = b if ds is None else ds.union(b)
-        for f in wave:  # scrub stale partials from a crashed run
-            pdir = _os.path.join(out_root, key_of(f))
-            if _os.path.isdir(pdir):
-                _shutil.rmtree(pdir)
-        ds.write_parquet(out_root, partition_cols=["shard"])
-        # manifest pass: one Ray task per shard partition (same
-        # _hash_partition_files task as graph.write_partitioned — a
-        # serial driver row-group loop here was the resume layer's
-        # bottleneck at 10⁵ crawl shards)
-        from .graph import hash_partition_task
-
-        _hash_partition = hash_partition_task()
-        pending = []
-        for f in wave:
-            pdir = _os.path.join(out_root, key_of(f))
-            _os.makedirs(pdir, exist_ok=True)
-            pending.append((f, pdir, _hash_partition.remote(pdir)))
-        for f, pdir, ref in pending:
-            nrows, h = ray.get(ref)
-            write_manifest(pdir, key_of(f), nrows, h,
-                           [f], _time.time() - t0)
-            written.append(key_of(f))
-            total += nrows
+    for f, pdir, ref in pending:
+        nrows, h = ray.get(ref)
+        write_manifest(pdir, key_of(f), nrows, h, [f], _time.time() - t0)
+        written.append(key_of(f))
+        total += nrows
     return {"written": written, "skipped": skipped, "row_count": total}
+
+
+def _shard_of_path(t: pa.Table) -> pa.Table:
+    """Replace the read's ``path`` column by the shard name: the file name
+    without its ``.parquet`` suffix."""
+    shard = pc.replace_substring_regex(t["path"], pattern=r"^(.*/)?(.*)\.parquet$",
+                                       replacement=r"\2")
+    return t.drop_columns(["path"]).append_column("shard", shard)
 
 
 def read_checkpointed_mentions(out_root: str, *, dedup: bool = True) -> Dataset:
@@ -595,7 +737,8 @@ def read_checkpointed_mentions(out_root: str, *, dedup: bool = True) -> Dataset:
     The read splits the files into as many blocks as Ray's default
     parallelism asks for; the shard-column drop takes batches of
     :data:`MENTION_ROWS_PER_BLOCK` rows, which merges them back into one
-    block per that many rows before the dedup's range sort."""
+    block per that many rows before the next range sort (the dedup's,
+    or :func:`graph_tables`' host sort)."""
     import glob as _glob
     import os as _os
 
@@ -621,7 +764,6 @@ def flagship_resumable(
     *,
     num_partitions: int = 8,
     model: str = "alias",
-    wave_size: int = 1,
 ) -> dict:
     """END-TO-END crash-resumable flagship: extraction checkpoints per
     INPUT shard (:func:`extract_mentions_checkpointed`), the graph
@@ -629,11 +771,11 @@ def flagship_resumable(
     (:func:`graph.materialize_graph`) — so a rerun after any partial
     failure (lost extraction task, lost partition write, killed driver)
     redoes only the missing units, and a rerun after success is a
-    complete no-op. The aggregate stages between the two checkpoints
-    (triples / canonicalization / co-occurrence / node-edge build) are
-    derived from the checkpointed mentions, which are ~10³× smaller than
-    the corpus — recomputing them on resume costs minutes at 10¹² docs,
-    vs the extraction they no longer have to repeat.
+    complete no-op. The graph tables between the two checkpoints
+    (:func:`graph_tables`) are derived from the checkpointed mentions,
+    which are ~10³× smaller than the corpus — recomputing them on resume
+    costs minutes at 10¹² docs, vs the extraction they no longer have to
+    repeat.
 
     Returns ``{"extract": <summary>, "graph": <summary>}``.
     """
@@ -642,15 +784,10 @@ def flagship_resumable(
     from .graph import materialize_graph
 
     mdir = _os.path.join(workdir, "mentions")
-    s1 = extract_mentions_checkpointed(pages_path, mdir, model=model,
-                                       wave_size=wave_size)
-    m = read_checkpointed_mentions(mdir).materialize()
-    trip = triples(m)
-    canon = canonicalize(m)
-    cooc = cooccurrence_edges(m)
-    nodes = build_nodes(canon, trip)
-    edges = build_edges(trip, cooc)
-    s2 = materialize_graph(nodes, edges, m, _os.path.join(workdir, "graph"),
+    s1 = extract_mentions_checkpointed(pages_path, mdir, model=model)
+    g = graph_tables(read_checkpointed_mentions(mdir, dedup=False))
+    s2 = materialize_graph(g["nodes"], g["edges"], g["mentions"],
+                           _os.path.join(workdir, "graph"),
                            num_partitions=num_partitions,
                            input_fragments=[pages_path])
     return {"extract": s1, "graph": s2}

@@ -27,6 +27,10 @@ import pyarrow as pa
 
 MANIFEST_NAME = "_manifest.json"
 _MASK = (1 << 64) - 1
+# a ``*.tmp`` file younger than this may belong to a write still in flight
+# (``compact_partition``'s ``compacted.parquet.tmp``, a manifest's tmp), so
+# vacuum leaves it alone
+TMP_GRACE_S = 3600.0
 
 
 # Arrow integer/bool columns convert to pandas' nullable dtypes, so a null
@@ -133,6 +137,16 @@ def partition_data_files(partition_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(partition_dir, "*.parquet")))
 
 
+def _in_flight(path: str) -> bool:
+    """A ``*.tmp`` file younger than :data:`TMP_GRACE_S` (or gone already)."""
+    if not path.endswith(".tmp"):
+        return False
+    try:
+        return time.time() - os.path.getmtime(path) < TMP_GRACE_S
+    except OSError:  # renamed or removed meanwhile
+        return True
+
+
 def find_orphans(out_root: str) -> dict[str, list[str]]:
     """VACUUM candidate census: files sitting in partition directories
     that have NO valid manifest (crashed writes, stray copies, a manifest
@@ -142,7 +156,10 @@ def find_orphans(out_root: str) -> dict[str, list[str]]:
     the atomic-publish invariant (manifest written after data, tmp+rename)
     both kinds are provably not live data — safe to delete. Returns
     ``{partition_dir: [files...]}`` for every partition owning at least
-    one orphaned file."""
+    one orphaned file. A ``*.tmp`` file younger than :data:`TMP_GRACE_S`
+    is never an orphan, and an unpublished directory holding one is
+    skipped whole: a compaction or a manifest publish may still be
+    writing it."""
     out: dict[str, list[str]] = {}
     if not os.path.isdir(out_root):
         return out
@@ -155,6 +172,8 @@ def find_orphans(out_root: str) -> dict[str, list[str]]:
             files = sorted(
                 os.path.join(pdir, f) for f in os.listdir(pdir)
                 if f != MANIFEST_NAME)
+            if any(map(_in_flight, files)):  # its manifest is being published
+                continue
         elif m.get("data_files") is not None:
             live = set(m["data_files"])
             files = sorted(
@@ -162,6 +181,7 @@ def find_orphans(out_root: str) -> dict[str, list[str]]:
                 if f != MANIFEST_NAME and f not in live)
         else:  # legacy manifest: owns everything in the directory
             files = []
+        files = [f for f in files if not _in_flight(f)]
         if files:
             out[pdir] = files
     return out
@@ -173,16 +193,16 @@ def vacuum(out_root: str) -> dict[str, list[str]]:
     writer needs so crashed runs cannot leak disk forever. Unpublished
     partition directories are removed whole; a PUBLISHED partition keeps
     its manifest and live ``data_files`` and loses only the orphaned
-    extras.
+    extras. Young ``*.tmp`` files, and unpublished directories holding
+    one, are spared (see :func:`find_orphans`).
 
-    Single-writer assumption: nothing else may write under ``out_root``
-    while this runs. An in-flight :func:`compact_partition` holds a
-    ``compacted.parquet.tmp`` (then a ``compacted.parquet``) that no
-    manifest lists yet, so a concurrent vacuum deletes it as an orphan:
-    the compaction then fails, or publishes a manifest naming a file that
-    is gone. An unpublished partition that a writer is still filling is
-    removed whole the same way. Run vacuum only between jobs, never
-    beside a writer or a compaction."""
+    Single-writer assumption otherwise: nothing else may write under
+    ``out_root`` while this runs. The grace covers a
+    :func:`compact_partition`'s ``compacted.parquet.tmp`` and a manifest
+    being published, but not the ``compacted.parquet`` a compaction
+    renames its temp file to before its manifest names it, nor an
+    unpublished partition whose data files a writer is still writing.
+    Run vacuum between jobs, never beside a writer or a compaction."""
     import shutil
 
     orphans = find_orphans(out_root)

@@ -28,6 +28,40 @@ def test_run_pipeline_end_to_end(tmp_path, ray_session):
     assert all(v["written"] == 0 for v in again["write"].values())
 
 
+def test_run_pipeline_graph_path_has_five_exchanges(tmp_path, monkeypatch):
+    """The plans run_pipeline executes hold 5 all-to-all exchanges in all:
+    the host sort, the node and edge merges and the two write sorts. Every
+    execution goes through ``materialize`` (writes included) or ``count``."""
+    from ray.data import Dataset
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll)
+
+    def exchanges(ds) -> int:
+        n, todo = 0, [ds._logical_plan.dag]
+        while todo:
+            op = todo.pop()
+            n += isinstance(op, AbstractAllToAll)
+            todo.extend(op.input_dependencies)
+        return n
+
+    seen = []
+    for name in ("materialize", "count"):
+        def counted(self, *args, _real=getattr(Dataset, name), **kwargs):
+            seen.append(exchanges(self))
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(Dataset, name, counted)
+    import pyarrow.parquet as pq
+
+    from newsagency_classification_ray.sources.pages import gen_pages_table
+
+    pages = os.path.join(tmp_path, "pages.parquet")
+    pq.write_table(gen_pages_table(600), pages)
+    out = run_pipeline(PipelineConfig(
+        input_path=pages, output_root=os.path.join(tmp_path, "kg"), num_partitions=4))
+    assert out["triples"] > 0
+    assert sum(seen) == 5, seen
+
+
 def test_cli_eval_subcommand(ray_session, capsys):
     p = ensure_pages("/root/testdata/sf0.001")
     out = main(["eval", "--input", p])

@@ -23,6 +23,38 @@ def mentions(small_corpus):
     return kg.extract_mentions(kg.read_pages(small_corpus)).materialize()
 
 
+def _frame(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _old_graph(mentions) -> dict[str, pd.DataFrame]:
+    """The graph tables composed stage by stage from deduped mentions."""
+    m = kg.dedup_mentions(mentions).materialize()
+    trip = kg.triples(m)
+    return {"mentions": _frame(m),
+            "nodes": _frame(kg.build_nodes(kg.canonicalize(m), trip)),
+            "edges": _frame(kg.build_edges(trip, kg.cooccurrence_edges(m)))}
+
+
+def test_graph_tables_equal_stage_composition(small_corpus, tmp_path):
+    """One host exchange + per-block kernels + two merges give the same
+    mentions, nodes and edges as the stage-by-stage composition, duplicate
+    pages included (their mention rows reach graph_tables undeduped)."""
+    import pyarrow as pa
+
+    pages = pq.read_table(small_corpus)
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.concat_tables([pages, pages.slice(0, 200)]), path)
+    raw = kg.extract_mentions(kg.read_pages(path), dedup=False).materialize()
+    want = _old_graph(raw)
+    assert raw.count() > len(want["mentions"])  # the fixture has duplicate pages
+    g = kg.graph_tables(raw)
+    for name in ("mentions", "nodes", "edges"):
+        pd.testing.assert_frame_equal(_frame(g[name]), want[name])
+    assert want["nodes"]["node_id"].is_unique
+
+
 def test_byte_identity_invariant(small_corpus, mentions):
     """north-star invariant: text[l_art:r_art] == surface for every mention."""
     pages = pq.read_table(small_corpus).to_pandas()
@@ -153,14 +185,29 @@ def test_empty_corpus_survives_every_stage(tmp_path):
     assert kg.triples(mentions).count() == 0
     assert kg.canonicalize(mentions).count() == 0
     assert kg.cooccurrence_edges(mentions).count() == 0
+    trip = kg.triples(mentions)
+    want = {"nodes": kg.build_nodes(kg.canonicalize(mentions), trip),
+            "edges": kg.build_edges(trip, kg.cooccurrence_edges(mentions))}
+    want["mentions"] = mentions
+    g = kg.graph_tables(kg.extract_mentions(kg.read_pages(p), dedup=False))
+    for name, ds in want.items():
+        assert g[name].count() == 0
+        assert g[name].schema() == ds.schema()
+    from newsagency_classification_ray.pipelines.graph import materialize_graph
+
+    s = materialize_graph(g["nodes"], g["edges"], g["mentions"],
+                          os.path.join(tmp_path, "graph"), num_partitions=2)
+    assert {k: (len(v["written"]), v["row_count"]) for k, v in s.items()} == {
+        "nodes": (2, 0), "edges": (2, 0), "mentions": (2, 0)}
 
 
 def test_small_blocks_keep_key_runs_whole(tmp_path):
     """The aggregates and the graph write rely on each sort-key run landing
     in one block. The mention sources merge their rows into one large
     batch, which Ray splits again under a small ``target_max_block_size``;
-    at 64 KiB the written node, edge and mention tables must equal the
-    default run's."""
+    at 64 KiB the written node, edge and mention tables, both from the
+    stage composition and from ``graph_tables``' host blocks, must equal
+    the default run's."""
     import os
 
     from ray.data import DataContext
@@ -179,12 +226,21 @@ def test_small_blocks_keep_key_runs_whole(tmp_path):
         nodes = kg.build_nodes(kg.canonicalize(m), trip)
         edges = kg.build_edges(trip, kg.cooccurrence_edges(m))
         materialize_graph(nodes, edges, m, out, num_partitions=4)
+        return m.num_blocks(), read(out)
+
+    def build_graph_tables(out: str) -> dict[str, pd.DataFrame]:
+        g = kg.graph_tables(kg.read_checkpointed_mentions(mdir, dedup=False))
+        materialize_graph(g["nodes"], g["edges"], g["mentions"], out,
+                          num_partitions=4)
+        return read(out)
+
+    def read(out: str) -> dict[str, pd.DataFrame]:
         tables = {}
         for name in ("nodes", "edges", "mentions"):
             df = pq.read_table(os.path.join(out, name)).to_pandas()
             df["part"] = df["part"].astype(int)
             tables[name] = df.sort_values(list(df.columns)).reset_index(drop=True)
-        return m.num_blocks(), tables
+        return tables
 
     _, want = build(str(tmp_path / "default"))
     ctx = DataContext.get_current()
@@ -192,10 +248,12 @@ def test_small_blocks_keep_key_runs_whole(tmp_path):
     ctx.target_max_block_size = 64 * 1024
     try:
         n_blocks, got = build(str(tmp_path / "small"))
+        hosted = build_graph_tables(str(tmp_path / "small_hosted"))
     finally:
         ctx.target_max_block_size = old
     assert n_blocks > 1  # the small blocks really split the mention table
-    assert got["nodes"]["node_id"].is_unique
-    assert not got["edges"].duplicated(["src", "dst", "predicate", "year"]).any()
-    for name in want:
-        pd.testing.assert_frame_equal(got[name], want[name])
+    for tables in (got, hosted):
+        assert tables["nodes"]["node_id"].is_unique
+        assert not tables["edges"].duplicated(["src", "dst", "predicate", "year"]).any()
+        for name in want:
+            pd.testing.assert_frame_equal(tables[name], want[name])

@@ -58,3 +58,62 @@ def test_checkpointed_extraction_resume_and_equality(ray_session):
     # and the union is still equal after the partial redo
     ckpt2 = _canon(kg.read_checkpointed_mentions(OUT).to_pandas())
     pd.testing.assert_frame_equal(ckpt2, full)
+
+
+def test_lost_shards_redo_in_one_write(tmp_path, monkeypatch):
+    """Losing 3 of 5 shards re-extracts them in ONE execution (one
+    ``write_parquet``). Every manifest, cold and redone, holds exactly
+    its own shard's deduped mentions — a page copied into another shard
+    is kept in both — and a shard whose pages yield no mentions still
+    gets a 0-row manifest."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    from newsagency_classification_ray.sources.pages import gen_pages_table
+    from newsagency_classification_ray.state.manifest import (
+        batch_content_hash, read_manifest)
+
+    pages = gen_pages_table(900)
+    pdir, out = tmp_path / "pages", str(tmp_path / "mentions")
+    pdir.mkdir()
+    for i in range(3):
+        pq.write_table(pages.slice(i * 300, 300), str(pdir / f"s{i}.parquet"))
+    # English pages only: the language gate leaves no mentions
+    pq.write_table(pages.filter(pc.equal(pages["lang"], "en")), str(pdir / "s3.parquet"))
+    # duplicates of s1's pages in another shard
+    pq.write_table(pages.slice(300, 100), str(pdir / "s4.parquet"))
+
+    want = {}
+    for f in sorted(pdir.iterdir()):
+        m = kg.extract_mentions(kg.read_pages(str(f)))
+        t = pa.concat_tables(ray.get(m.to_arrow_refs()))
+        want[f"shard={f.stem}"] = (len(t), batch_content_hash(t) if len(t) else 0)
+    assert want["shard=s3"][0] == 0 and want["shard=s4"][0] > 0
+
+    writes = []
+    real_write = ray.data.Dataset.write_parquet
+
+    def counting_write(self, *args, **kwargs):
+        writes.append(args)
+        return real_write(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", counting_write)
+
+    def manifests() -> dict:
+        return {k: (m["row_count"], m["content_hash"])
+                for k in want for m in [read_manifest(os.path.join(out, k))]}
+
+    cold = kg.extract_mentions_checkpointed(str(pdir), out)
+    assert cold["written"] == sorted(want) and len(writes) == 1
+    assert manifests() == want
+
+    lost = ["shard=s1", "shard=s3", "shard=s4"]
+    for k in lost:
+        shutil.rmtree(os.path.join(out, k))
+    writes.clear()
+    s = kg.extract_mentions_checkpointed(str(pdir), out)
+    assert s["written"] == lost and len(writes) == 1
+    assert manifests() == want

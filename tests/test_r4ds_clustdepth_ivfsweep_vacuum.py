@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pandas as pd
@@ -74,3 +75,36 @@ def test_vacuum_removes_only_manifest_less_partials(tmp_path):
     assert os.path.exists(os.path.join(good, "_manifest.json"))
     # idempotent
     assert vacuum(root) == {}
+
+
+def test_vacuum_spares_young_temp_files(tmp_path):
+    """A ``*.tmp`` file younger than the grace window may belong to a
+    compaction or a manifest publish still in flight: vacuum leaves it
+    (and the whole unpublished directory holding one), and deletes an
+    aged one."""
+    from newsagency_classification_ray.state.manifest import TMP_GRACE_S
+
+    root = str(tmp_path / "out")
+    aged = time.time() - TMP_GRACE_S - 60
+    tmp = {}
+    for name, publish in (("part=0", True), ("part=1", True), ("part=2", False)):
+        pdir = os.path.join(root, name)
+        os.makedirs(pdir)
+        with open(os.path.join(pdir, "data.parquet"), "w") as f:
+            f.write("x")
+        if publish:
+            write_manifest(pdir, name, 1, 42)
+        tmp[name] = os.path.join(pdir, "compacted.parquet.tmp")
+        with open(tmp[name], "w") as f:
+            f.write("partial")
+    os.utime(tmp["part=1"], (aged, aged))
+
+    assert find_orphans(root) == {os.path.join(root, "part=1"): [tmp["part=1"]]}
+    vacuum(root)
+    assert os.path.exists(tmp["part=0"]) and os.path.exists(tmp["part=2"])
+    assert not os.path.exists(tmp["part=1"])
+    for name in ("part=0", "part=1", "part=2"):
+        assert os.path.exists(os.path.join(root, name, "data.parquet"))
+    os.utime(tmp["part=2"], (aged, aged))  # the unpublished write never finished
+    vacuum(root)
+    assert not os.path.exists(os.path.join(root, "part=2"))
