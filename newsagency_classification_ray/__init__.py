@@ -8,8 +8,8 @@ Common-Crawl-style Parquet web pages, expressed Ray-Data-first
 built once per warm task worker, salted groupbys for skewed shuffles,
 partitioned Parquet sinks with per-partition lineage manifests).
 
-Nothing here calls ``ray.init()`` — the caller (driver / bench.py / test
-fixture) owns the Ray session.
+Nothing here calls ``ray.init()`` — the caller (the CLI, perfbench, a test
+fixture, or the process that imports ``__ray_entry__``) owns the Ray session.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+
+from .pipelines import graph, kg
 
 
 @dataclass
@@ -33,8 +35,8 @@ class PipelineConfig:
     input_path: str
     output_root: str
     model: str = "alias"                 # alias | simbert | HF checkpoint path
-    tagger_concurrency: int | tuple[int, int] = (2, 16)
-    linker_concurrency: int | tuple[int, int] = (1, 4)
+    tagger_concurrency: int = kg.TAGGER_CONCURRENCY
+    linker_concurrency: int = kg.LINKER_CONCURRENCY
     batch_size: int = 256
     # kg.graph_tables always drops duplicate mentions and needs no salt;
     # both fields stay for perfbench/trace.py, which reads them
@@ -46,8 +48,6 @@ class PipelineConfig:
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the flagship end-to-end per config; returns the write summary."""
-    from .pipelines import graph, kg
-
     g = kg.graph_tables(kg.extract_mentions(
         kg.read_pages(cfg.input_path),
         tagger_concurrency=cfg.tagger_concurrency,

@@ -14,7 +14,9 @@ Layout::
 
 Each partition is written only when absent (manifest check) → a rerun after a
 crash recomputes only missing partitions; manifests carry row counts +
-order-insensitive content hashes so idempotence is verifiable.
+order-insensitive content hashes so idempotence is verifiable. One writer,
+:func:`_write_and_publish`, writes these tables and the extraction
+checkpoints of ``kg.extract_mentions_checkpointed`` alike.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ from ..state.manifest import (
     batch_content_hash,
     combine_hashes,
     incomplete_partitions,
+    read_manifest,
     write_manifest,
 )
 from .kg import MENTION_ROWS_PER_BLOCK
 
 # write_parquet lazily imports fsspec.implementations.http, which fails here
-# (no aiohttp) — harmless single-threaded (caught upstream), but concurrent
-# first-imports from writer threads race into a partial-module state that
-# surfaces as a spurious ImportError. Warm the import ONCE at module import
-# time; only if it genuinely cannot import do we register an inert stub, and
-# only then (scoped here, not as a mid-call side effect, per review advice).
+# (no aiohttp) — harmless in one thread (caught upstream), but concurrent
+# first-imports from threads race into a partial-module state that surfaces
+# as a spurious ImportError. Warm the import ONCE at module import time; only
+# if it genuinely cannot import, register an inert stub.
 import sys as _sys
 import types as _types
 
@@ -60,11 +62,9 @@ except ImportError:
 def _hash_partition_files(pdir: str) -> tuple[int, int]:
     """Row count + order-insensitive content hash of one just-written
     partition directory — streamed row-group-wise (a partition need never
-    fit in memory). Module-level so both checkpoint layers (output-side
-    :func:`write_partitioned`, input-side
-    ``kg.extract_mentions_checkpointed``) dispatch it as the SAME Ray
-    task, one per partition: a serial driver loop here is the resume
-    layer's bottleneck at 10⁵ crawl shards."""
+    fit in memory). Module-level so :func:`_write_and_publish` dispatches
+    it as one Ray task per partition: a serial loop in the calling process
+    is the resume layer's bottleneck at 10⁵ crawl shards."""
     import glob as _glob
 
     import pyarrow.parquet as pq
@@ -82,13 +82,62 @@ def _hash_partition_files(pdir: str) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=None)
 def hash_partition_task():
-    """The Ray-remote wrapper, created lazily so importing this module
-    never requires an initialized Ray session, and once per process so it
-    is exported once, not on every write (Ray re-exports it by itself
-    when a new session starts)."""
+    """The Ray-remote wrapper of :func:`_hash_partition_files` that
+    :func:`_write_and_publish` runs, created lazily so importing this
+    module never requires an initialized Ray session, and once per process
+    so it is exported once, not on every write (Ray re-exports it by
+    itself when a new session starts)."""
     import ray
 
     return ray.remote(num_cpus=1)(_hash_partition_files)
+
+
+def _write_and_publish(
+    ds: Dataset,
+    out_dir: str,
+    col: str,
+    fragments: dict[str, list[str] | None],
+    extra: dict | None = None,
+) -> tuple[list[str], int]:
+    """THE writer of every manifest-checked table: scrub → one partitioned
+    write → per-partition hash → manifest after data.
+
+    ``fragments`` maps each partition key to redo (``<col>=<value>``, in
+    the order to publish) to its input fragments; ``ds`` holds exactly the
+    rows of those partitions. Stale partials of a crashed run are removed
+    first (no manifest ⇒ not published), then ``ds`` is written once with
+    ``partition_cols=[col]``. Each partition's row count and content hash
+    come from one Ray task per partition that reads its files back, and
+    its manifest (with ``extra``) is published only after that: a crash
+    at any point leaves no manifest or a correct one. A partition that
+    received no rows gets its directory made and a 0-row manifest.
+
+    Returns the published keys and their total row count.
+    """
+    import shutil
+
+    import ray
+
+    t0 = time.time()
+    for key in fragments:
+        pdir = os.path.join(out_dir, key)
+        if os.path.isdir(pdir):
+            shutil.rmtree(pdir)
+    ds.write_parquet(out_dir, partition_cols=[col])
+    task = hash_partition_task()
+    pending = {key: task.remote(os.path.join(out_dir, key)) for key in fragments
+               if os.path.isdir(os.path.join(out_dir, key))}
+    total = 0
+    for key, frags in fragments.items():
+        pdir = os.path.join(out_dir, key)
+        if key in pending:
+            nrows, h = ray.get(pending[key])
+        else:
+            os.makedirs(pdir, exist_ok=True)
+            nrows, h = 0, 0
+        write_manifest(pdir, key, nrows, h, frags, time.time() - t0, extra)
+        total += nrows
+    return list(fragments), total
 
 
 def _crc_bucket_col(col: pa.ChunkedArray | pa.Array, buckets: int) -> pa.Array:
@@ -103,6 +152,27 @@ def _crc_bucket_col(col: pa.ChunkedArray | pa.Array, buckets: int) -> pa.Array:
     return pa.array((h % buckets).astype("int32"))
 
 
+def _check_partition_count(out_dir: str, num_partitions: int) -> None:
+    """Raise if ``out_dir`` holds partitions of a write with another
+    partition count. Rows go to ``hash % num_partitions``, so under another
+    count a rerun would write rows already published elsewhere, and every
+    partition would still look complete. A ``part=<k>`` directory with
+    ``k >= num_partitions`` also catches manifests older than the
+    ``num_partitions`` field."""
+    names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+    for name in names:
+        k = name.removeprefix("part=")
+        if k == name or not k.isdigit():
+            continue
+        m = read_manifest(os.path.join(out_dir, name)) or {}
+        recorded = m.get("num_partitions", num_partitions)
+        if int(k) >= num_partitions or recorded != num_partitions:
+            raise ValueError(
+                f"{os.path.join(out_dir, name)} belongs to a write with "
+                f"num_partitions={m.get('num_partitions', f'>{k}')}, not "
+                f"{num_partitions}: rerun with that count or write elsewhere")
+
+
 def write_partitioned(
     ds: Dataset,
     out_dir: str,
@@ -112,26 +182,24 @@ def write_partitioned(
     sort_by: list[str] | None = None,
     input_fragments: list[str] | None = None,
 ) -> dict:
-    """Sort + hash-partition + write with manifests; skip complete partitions.
+    """Hash-partition ``ds`` on ``key_col`` into ``part=<k>`` directories,
+    redoing only the partitions without a manifest.
 
     Returns summary {written: [...], skipped: [...], row_count}.
-    The partition column is a deterministic crc32 bucket of ``key_col`` so a
-    resumed run maps every row to the same partition. Sorting happens *within*
-    the written files via the global ``ds.sort`` before the partitioned write.
+    The partition id is a deterministic hash bucket of ``key_col`` so a
+    resumed run maps every row to the same partition; each manifest records
+    ``num_partitions``, and a rerun with another count raises
+    (:func:`_check_partition_count`) before anything is scrubbed or written.
+    ``sort_by`` sorts the rows globally before the write, so every file is
+    sorted. The write itself is :func:`_write_and_publish`, each partition's
+    fragments being ``input_fragments``.
     """
-    t0 = time.time()
+    _check_partition_count(out_dir, num_partitions)
     keys = [f"part={k}" for k in range(num_partitions)]
     todo = set(incomplete_partitions(out_dir, keys))
     skipped = sorted(set(keys) - todo)
     if not todo:
         return {"written": [], "skipped": skipped, "row_count": 0}
-    # scrub stale partials from a crashed run (no manifest ⇒ not published)
-    import shutil
-
-    for k in todo:
-        pdir = os.path.join(out_dir, k)
-        if os.path.isdir(pdir):
-            shutil.rmtree(pdir)
 
     def add_part(t: pa.Table) -> pa.Table:
         return t.append_column("part", _crc_bucket_col(t[key_col], num_partitions))
@@ -141,7 +209,7 @@ def write_partitioned(
     # rows need, whatever the union or aggregate upstream produced
     parted = ds.map_batches(add_part, batch_format="pyarrow",
                             batch_size=MENTION_ROWS_PER_BLOCK)
-    todo_ids = [int(k.split("=")[1]) for k in todo]
+    todo_ids = sorted(int(k.split("=")[1]) for k in todo)
     parted = parted.map_batches(
         lambda t, ids=tuple(todo_ids): t.filter(
             pc.is_in(t["part"], value_set=pa.array(ids, type=pa.int32()))
@@ -150,31 +218,9 @@ def write_partitioned(
     )
     if sort_by:
         parted = parted.sort(sort_by)
-    parted.write_parquet(out_dir, partition_cols=["part"])
-
-    # manifest pass: per-partition row count + content hash, one Ray task per
-    # partition (a serial driver loop here was a fixed cost that scaled with
-    # partition count, not CPUs)
-    import ray
-
-    _hash_partition = hash_partition_task()
-    written = []
-    total = 0
-    pending: dict[int, object] = {}
-    for k in sorted(todo_ids):
-        pdir = os.path.join(out_dir, f"part={k}")
-        if os.path.isdir(pdir):
-            pending[k] = _hash_partition.remote(pdir)
-    for k in sorted(todo_ids):
-        pdir = os.path.join(out_dir, f"part={k}")
-        if k in pending:
-            nrows, h = ray.get(pending[k])
-        else:
-            os.makedirs(pdir, exist_ok=True)
-            nrows, h = 0, 0
-        write_manifest(pdir, f"part={k}", nrows, h, input_fragments, time.time() - t0)
-        written.append(f"part={k}")
-        total += nrows
+    written, total = _write_and_publish(
+        parted, out_dir, "part", {f"part={k}": input_fragments for k in todo_ids},
+        {"num_partitions": num_partitions})
     return {"written": written, "skipped": skipped, "row_count": total}
 
 
@@ -244,45 +290,23 @@ def export_ntriples(triples: Dataset, path: str) -> str:
 def materialize_graph(
     nodes: Dataset,
     edges: Dataset,
-    mentions: Dataset | None,
+    mentions: Dataset,
     out_root: str,
     *,
     num_partitions: int = 8,
     input_fragments: list[str] | None = None,
 ) -> dict:
-    """Write the full graph (nodes sorted by node_id, edges by (src,dst)).
-
-    The three table writes are independent Dataset executions — run them
-    concurrently from driver threads so their (small) exchanges and write
-    tasks interleave instead of serializing. Below 16 CPUs the writes run
-    serially instead: three executions, each with its own sort and write
-    tasks, then compete for the same few CPU slots and hold their blocks in
-    the object store at the same time. Lowering the threshold needs a
-    paired measurement of both wall time and peak memory.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    workers = 3 if cpus >= 16 else 1
-
-    # fsspec.implementations.http import-race workaround lives at module
-    # import time (top of this file) so it is never a mid-call side effect
+    """Write the graph's three tables with :func:`write_partitioned`, one
+    after another: nodes sorted by node_id, edges by (src, dst, year),
+    mentions keyed by url. Returns ``{table: summary}``."""
     jobs = {
-        "nodes": (nodes, os.path.join(out_root, "nodes"), "node_id", ["node_id"]),
-        "edges": (edges, os.path.join(out_root, "edges"), "src", ["src", "dst", "year"]),
+        "nodes": (nodes, "node_id", ["node_id"]),
+        "edges": (edges, "src", ["src", "dst", "year"]),
+        "mentions": (mentions, "url", None),
     }
-    if mentions is not None:
-        jobs["mentions"] = (mentions, os.path.join(out_root, "mentions"), "url", None)
-
-    def run(job):
-        ds, out_dir, key, sort_by = job
-        return write_partitioned(
-            ds, out_dir, key, num_partitions=num_partitions,
-            sort_by=sort_by, input_fragments=input_fragments,
-        )
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = {name: pool.submit(run, job) for name, job in jobs.items()}
-        return {name: f.result() for name, f in futures.items()}
+    return {
+        name: write_partitioned(ds, os.path.join(out_root, name), key,
+                                num_partitions=num_partitions, sort_by=sort_by,
+                                input_fragments=input_fragments)
+        for name, (ds, key, sort_by) in jobs.items()
+    }

@@ -66,6 +66,9 @@ from ..stages.warm import warm_stage
 DEFAULT_SALT_BUCKETS = 32
 # rows per block at each mention-scale source (~18 MB of mention rows)
 MENTION_ROWS_PER_BLOCK = 65_536
+# default caps on the concurrent tasks of the tagger and the linker
+TAGGER_CONCURRENCY = 8
+LINKER_CONCURRENCY = 4
 
 
 def read_pages(path: str, columns: list[str] | None = None, **kwargs) -> Dataset:
@@ -126,8 +129,8 @@ def dedup_mentions(mentions: Dataset) -> Dataset:
 def extract_mentions(
     pages: Dataset,
     *,
-    tagger_concurrency: int | tuple[int, int] = (1, 8),
-    linker_concurrency: int | tuple[int, int] = (1, 4),
+    tagger_concurrency: int = TAGGER_CONCURRENCY,
+    linker_concurrency: int = LINKER_CONCURRENCY,
     batch_size: int = 256,
     dedup: bool = True,
     model: str = "alias",
@@ -135,8 +138,7 @@ def extract_mentions(
     """pages → mentions (tag + link) on warm task workers.
 
     ``tagger_concurrency`` / ``linker_concurrency`` cap the number of
-    concurrent tasks of each stage: an int is the cap, a ``(min, max)``
-    tuple's ``max`` is.
+    concurrent tasks of each stage.
 
     ``dedup=True`` drops the mention rows of duplicate pages on the *small*
     side (identical mention rows, see :func:`dedup_mentions`); ``False``
@@ -155,7 +157,7 @@ def extract_mentions(
         _tag_batch,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_task_cap(tagger_concurrency),
+        concurrency=tagger_concurrency,
         num_cpus=1,
         fn_kwargs={"model": model},
     )
@@ -163,16 +165,12 @@ def extract_mentions(
         _link_batch,
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=_task_cap(linker_concurrency),
+        concurrency=linker_concurrency,
         num_cpus=1,
     )
     ds = ds.map_batches(_derive_mention_meta, batch_format="pyarrow",
                         batch_size=MENTION_ROWS_PER_BLOCK)
     return dedup_mentions(ds) if dedup else ds
-
-
-def _task_cap(concurrency: int | tuple[int, int]) -> int:
-    return concurrency[1] if isinstance(concurrency, tuple) else concurrency
 
 
 def _tag_batch(batch: pa.Table, model: str) -> pa.Table:
@@ -615,31 +613,11 @@ def incremental_mentions(base: Dataset, delta: Dataset) -> Dataset:
     return dedup_mentions(base.union(delta))
 
 
-def flagship(
-    pages_path: str,
-    *,
-    tagger_concurrency: int | tuple[int, int] = (1, 8),
-    dedup: bool = True,
-    salt_buckets: int = DEFAULT_SALT_BUCKETS,
-) -> dict[str, Dataset]:
-    """Build every stage of the flagship pipeline (lazy — nothing executes)."""
-    pages = read_pages(pages_path)
-    mentions = extract_mentions(pages, tagger_concurrency=tagger_concurrency, dedup=dedup)
-    trip = triples(mentions)
-    canon = canonicalize(mentions, salt_buckets=salt_buckets)
-    cooc = cooccurrence_edges(mentions)
-    nodes = build_nodes(canon, trip)
-    edges = build_edges(trip, cooc)
-    return {"pages": pages, "mentions": mentions, "triples": trip,
-            "canonical": canon, "cooccurrence": cooc, "nodes": nodes, "edges": edges}
-
-
 def extract_mentions_checkpointed(
     pages_dir: str,
     out_root: str,
     *,
     model: str = "alias",
-    tagger_concurrency: int | tuple[int, int] = (1, 8),
 ) -> dict:
     """INPUT-shard-level extraction checkpointing — the resume unit a
     10¹²-doc crawl actually has: each pages shard's mentions land in
@@ -656,10 +634,11 @@ def extract_mentions_checkpointed(
     file name becomes a ``shard`` column that :func:`_tag_batch` carries
     onto the mentions. One ``sort(["shard", "mention_id"])`` and a
     run-compare over both keys drop duplicates within each shard (never
-    across shards), and one write partitions the rows by shard. Each
-    shard's manifest is written AFTER the write has finished (crash ⇒
-    no manifest ⇒ redone); a shard that yields no mentions gets an empty
-    partition with a 0-row manifest.
+    across shards). ``graph._write_and_publish``, the writer of the graph
+    tables too, then writes the rows partitioned by shard and publishes
+    each shard's manifest (fragments: that shard's file) AFTER the data
+    (crash ⇒ no manifest ⇒ redone); a shard that yields no mentions gets
+    an empty partition with a 0-row manifest.
 
     Cross-shard duplicate pages are not deduped here —
     :func:`read_checkpointed_mentions` re-applies the mention-row dedup
@@ -670,11 +649,9 @@ def extract_mentions_checkpointed(
     """
     import glob as _glob
     import os as _os
-    import shutil as _shutil
-    import time as _time
 
-    from ..state.manifest import incomplete_partitions, write_manifest
-    from .graph import hash_partition_task
+    from ..state.manifest import incomplete_partitions
+    from .graph import _write_and_publish
 
     shards = sorted(_glob.glob(_os.path.join(pages_dir, "*.parquet")))
 
@@ -687,36 +664,14 @@ def extract_mentions_checkpointed(
     todo_files = [f for f in shards if key_of(f) in todo]
     if not todo_files:
         return {"written": [], "skipped": skipped, "row_count": 0}
-    t0 = _time.time()
     pages = read_pages(todo_files, include_paths=True).map_batches(
         _shard_of_path, batch_format="pyarrow")
-    m = extract_mentions(pages, model=model, tagger_concurrency=tagger_concurrency,
-                         dedup=False)
+    m = extract_mentions(pages, model=model, dedup=False)
     m = m.sort(["shard", "mention_id"]).map_batches(
         _drop_dup_runs(["shard", "mention_id"]), batch_format="pyarrow",
         batch_size=None)
-    for f in todo_files:  # scrub stale partials from a crashed run
-        pdir = _os.path.join(out_root, key_of(f))
-        if _os.path.isdir(pdir):
-            _shutil.rmtree(pdir)
-    m.write_parquet(out_root, partition_cols=["shard"])
-    # manifest pass: one Ray task per shard partition (the same
-    # _hash_partition_files task as graph.write_partitioned — a serial
-    # row-group loop in this process was the resume layer's bottleneck at
-    # 10⁵ crawl shards)
-    _hash_partition = hash_partition_task()
-    pending = []
-    for f in todo_files:
-        pdir = _os.path.join(out_root, key_of(f))
-        _os.makedirs(pdir, exist_ok=True)
-        pending.append((f, pdir, _hash_partition.remote(pdir)))
-    written: list[str] = []
-    total = 0
-    for f, pdir, ref in pending:
-        nrows, h = ray.get(ref)
-        write_manifest(pdir, key_of(f), nrows, h, [f], _time.time() - t0)
-        written.append(key_of(f))
-        total += nrows
+    written, total = _write_and_publish(
+        m, out_root, "shard", {key_of(f): [f] for f in todo_files})
     return {"written": written, "skipped": skipped, "row_count": total}
 
 

@@ -144,7 +144,8 @@ class SimulatedBertModel(AliasModel):
     :class:`AliasModel` while running a deterministic dense forward per
     sentence (seq×256 @ 256×256, twice — ~1 ms/sentence at seq≈60, scaling
     with token count like a real transformer layer) and disabling the
-    lexicon gate (BERT sees every sentence). Used by ``bench.py --scaling``.
+    lexicon gate (BERT sees every sentence). The model of perfbench's
+    ``kg_model_bound`` workload.
     """
 
     sys_id = "SIM BERT MODEL"

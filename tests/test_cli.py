@@ -101,3 +101,42 @@ def test_cli_runs_from_another_working_directory(tmp_path):
     want = PipelineConfig(input_path=p, output_root="kg", num_partitions=2)
     assert out["config"] == {k: str(v) for k, v in asdict(want).items()}
     assert os.path.exists(cwd / "kg" / "nodes" / "part=0" / "_manifest.json")
+
+
+def test_graph_composed_and_published_once():
+    """The graph is composed once (``kg.graph_tables``) and published by
+    one writer (``graph._write_and_publish``): outside their definitions,
+    nothing in the package, ``__ray_entry__.py`` or ``scripts/`` calls
+    ``build_nodes``/``build_edges`` (kept as the tests' reference
+    composition), and nothing but that writer and ``state/manifest.py``
+    itself (compaction republishes) calls ``write_manifest``."""
+    import ast
+    import glob
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = (glob.glob(os.path.join(root, "newsagency_classification_ray", "**", "*.py"),
+                       recursive=True)
+             + [os.path.join(root, "__ray_entry__.py")]
+             + glob.glob(os.path.join(root, "scripts", "*.py")))
+    composed, published = [], []
+    for path in files:
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        stack = [(tree, None)]
+        while stack:
+            node, fn = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("build_nodes", "build_edges"):
+                    composed.append(f"{rel}:{node.lineno}")
+                elif name == "write_manifest":
+                    published.append((rel, fn))
+            stack.extend((c, fn) for c in ast.iter_child_nodes(node))
+    published = [p for p in published
+                 if p[0] != "newsagency_classification_ray/state/manifest.py"]
+    writer = ("newsagency_classification_ray/pipelines/graph.py", "_write_and_publish")
+    assert (composed, published) == ([], [writer])

@@ -6,6 +6,7 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
 from newsagency_classification_ray.pipelines.graph import write_partitioned
@@ -149,3 +150,38 @@ def test_content_hash_independent_of_row_group_splits(tmp_path):
     u = pa.table({"x": pa.array([1, 2], type=pa.int64()), "ok": [True, False]})
     assert batch_content_hash(u) == int(
         pd.util.hash_pandas_object(u.to_pandas(), index=False).sum()) & ((1 << 64) - 1)
+
+
+def test_rerun_with_other_partition_count_raises(tmp_path):
+    """Rows go to ``hash % num_partitions``: a rerun with another count
+    would write ``part=4..7`` beside a complete 4-partition table and
+    duplicate their rows. It must raise before touching the table, and a
+    rerun with the recorded count stays a no-op."""
+    out = str(tmp_path / "nodes")
+    write_partitioned(make_ds(1000), out, "node_id", num_partitions=4)
+    with pytest.raises(ValueError, match="num_partitions=4"):
+        write_partitioned(make_ds(1000), out, "node_id", num_partitions=8)
+    assert sorted(os.listdir(out)) == [f"part={k}" for k in range(4)]
+    assert read_all(out).num_rows == 1000
+    assert {read_manifest(os.path.join(out, f"part={k}"))["num_partitions"]
+            for k in range(4)} == {4}
+    # a lost partition does not hide the count from the others
+    shutil.rmtree(os.path.join(out, "part=3"))
+    with pytest.raises(ValueError):
+        write_partitioned(make_ds(1000), out, "node_id", num_partitions=2)
+    summary = write_partitioned(make_ds(1000), out, "node_id", num_partitions=4)
+    assert summary["written"] == ["part=3"] and read_all(out).num_rows == 1000
+    summary = write_partitioned(make_ds(1000), out, "node_id", num_partitions=4)
+    assert summary["written"] == [] and len(summary["skipped"]) == 4
+    # manifests that predate the num_partitions field: a partition the
+    # smaller count cannot produce still refuses the rerun
+    for k in range(4):
+        pdir = os.path.join(out, f"part={k}")
+        m = read_manifest(pdir)
+        m.pop("num_partitions", None)
+        with open(os.path.join(pdir, MANIFEST_NAME), "w") as f:
+            json.dump(m, f)
+    with pytest.raises(ValueError):
+        write_partitioned(make_ds(1000), out, "node_id", num_partitions=2)
+    assert read_all(out).num_rows == 1000
+

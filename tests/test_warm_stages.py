@@ -96,16 +96,29 @@ def _plan_ops(ds) -> list:
 
 
 def test_flagship_plan_has_no_actor_pool_or_groupby_aggregate():
+    """The job's own plans: extraction runs tagger and linker as plain
+    tasks, and ``graph_tables`` builds nodes and edges without Ray's
+    ``groupby().aggregate()``."""
     from ray.data._internal.compute import ActorPoolStrategy
     from ray.data._internal.logical.operators.all_to_all_operator import Aggregate
 
-    d = kg.flagship(ensure_pages(SF))  # lazy: nothing runs
-    ops = [op for name in ("nodes", "edges") for op in _plan_ops(d[name])]
-    assert not [op for op in ops if isinstance(op, Aggregate)]
+    ops = _plan_ops(kg.extract_mentions(kg.read_pages(ensure_pages(SF))))  # lazy
     assert not [op for op in ops
                 if isinstance(getattr(op, "_compute", None), ActorPoolStrategy)]
     names = {op.name for op in ops}
     assert "MapBatches(_tag_batch)" in names and "MapBatches(_link_batch)" in names
+
+    urls = [f"http://h{i % 2}.lu/a{i}" for i in range(6)]
+    mentions = ray.data.from_arrow(pa.table({
+        "mention_id": [f"{u}#0" for u in urls], "url": urls,
+        "host": [u.split("/")[2] for u in urls],
+        "year": pa.array([1900 + i % 3 for i in range(6)], pa.int32()),
+        "surface": ["Havas"] * 6, "surface_norm": ["havas"] * 6,
+        "canonical": ["Havas"] * 6, "qid": ["Q2826560"] * 6}))
+    g = kg.graph_tables(mentions)
+    ops = [op for name in ("nodes", "edges") for op in _plan_ops(g[name])]
+    assert ops and not [op for op in ops if isinstance(op, Aggregate)]
+    assert g["nodes"].count() == 7 and g["edges"].count() == 6
 
 
 def test_stages_still_callable_directly():
