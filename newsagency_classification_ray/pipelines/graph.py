@@ -16,18 +16,23 @@ Each partition is written only when absent (manifest check) → a rerun after a
 crash recomputes only missing partitions; manifests carry row counts +
 order-insensitive content hashes so idempotence is verifiable. One writer,
 :func:`_write_and_publish`, writes these tables and the extraction
-checkpoints of ``kg.extract_mentions_checkpointed`` alike.
+checkpoints of ``kg.extract_mentions_checkpointed`` alike, hashing the
+rows it writes instead of reading its files back.
 """
 
 from __future__ import annotations
 
-import functools
 import os
+import shutil
 import time
+import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from ..state.manifest import (
     batch_content_hash,
@@ -38,58 +43,41 @@ from ..state.manifest import (
 )
 from .kg import MENTION_ROWS_PER_BLOCK
 
-# write_parquet lazily imports fsspec.implementations.http, which fails here
-# (no aiohttp) — harmless in one thread (caught upstream), but concurrent
-# first-imports from threads race into a partial-module state that surfaces
-# as a spurious ImportError. Warm the import ONCE at module import time; only
-# if it genuinely cannot import, register an inert stub.
-import sys as _sys
-import types as _types
 
-try:  # pragma: no cover - environment-dependent
-    import fsspec.implementations.http  # noqa: F401
-except ImportError:
-    if "fsspec.implementations.http" not in _sys.modules:
-        _stub = _types.ModuleType("fsspec.implementations.http")
+class _PartitionSink(Datasink):
+    """Each write task puts its rows of each ``<col>=<value>`` partition,
+    without ``col``, in ``<col>=<value>/<write uuid>_<task_idx:06d>.parquet``
+    (names sort in block order; a retried task overwrites its own file) and
+    returns ``(key, file, rows, content_hash)`` per file, hashed in memory."""
 
-        class _NoHTTPFileSystem:  # nothing is an instance → correct False
-            pass
+    def __init__(self, out_dir: str, col: str):
+        self.out_dir, self.col = out_dir, col
+        self.write_uuid = uuid.uuid4().hex
+        self.results: list[tuple[str, str, int, int]] = []
 
-        _stub.HTTPFileSystem = _NoHTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = _stub
+    def write(self, blocks, ctx) -> list[tuple[str, str, int, int]]:
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+                  if len(t)]
+        if not tables:
+            return []
+        t = pa.concat_tables(tables, promote_options="default")
+        # one stable sort, one slice per value: rows keep their arrival order
+        t = t.take(pc.sort_indices(t[self.col]))
+        runs = pc.run_end_encode(t[self.col].combine_chunks())
+        name = f"{self.write_uuid}_{ctx.task_idx:06d}.parquet"
+        out, start = [], 0
+        for value, end in zip(runs.values.to_pylist(), runs.run_ends.to_pylist()):
+            rows = t.slice(start, end - start).drop_columns([self.col])
+            start = end
+            key = f"{self.col}={value}"
+            pdir = os.path.join(self.out_dir, key)
+            os.makedirs(pdir, exist_ok=True)
+            pq.write_table(rows, os.path.join(pdir, name))
+            out.append((key, name, len(rows), batch_content_hash(rows)))
+        return out
 
-
-def _hash_partition_files(pdir: str) -> tuple[int, int]:
-    """Row count + order-insensitive content hash of one just-written
-    partition directory — streamed row-group-wise (a partition need never
-    fit in memory). Module-level so :func:`_write_and_publish` dispatches
-    it as one Ray task per partition: a serial loop in the calling process
-    is the resume layer's bottleneck at 10⁵ crawl shards."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    nrows = 0
-    hashes = []
-    for fp in sorted(_glob.glob(os.path.join(pdir, "*.parquet"))):
-        f = pq.ParquetFile(fp)
-        for rg in range(f.num_row_groups):
-            tbl = f.read_row_group(rg)
-            nrows += len(tbl)
-            hashes.append(batch_content_hash(tbl))
-    return nrows, combine_hashes(hashes)
-
-
-@functools.lru_cache(maxsize=None)
-def hash_partition_task():
-    """The Ray-remote wrapper of :func:`_hash_partition_files` that
-    :func:`_write_and_publish` runs, created lazily so importing this
-    module never requires an initialized Ray session, and once per process
-    so it is exported once, not on every write (Ray re-exports it by
-    itself when a new session starts)."""
-    import ray
-
-    return ray.remote(num_cpus=1)(_hash_partition_files)
+    def on_write_complete(self, write_result) -> None:
+        self.results = [r for task in write_result.write_returns for r in task]
 
 
 def _write_and_publish(
@@ -100,42 +88,45 @@ def _write_and_publish(
     extra: dict | None = None,
 ) -> tuple[list[str], int]:
     """THE writer of every manifest-checked table: scrub → one partitioned
-    write → per-partition hash → manifest after data.
+    write that counts and hashes what it writes → manifest after data.
 
     ``fragments`` maps each partition key to redo (``<col>=<value>``, in
     the order to publish) to its input fragments; ``ds`` holds exactly the
     rows of those partitions. Stale partials of a crashed run are removed
-    first (no manifest ⇒ not published), then ``ds`` is written once with
-    ``partition_cols=[col]``. Each partition's row count and content hash
-    come from one Ray task per partition that reads its files back, and
-    its manifest (with ``extra``) is published only after that: a crash
-    at any point leaves no manifest or a correct one. A partition that
-    received no rows gets its directory made and a 0-row manifest.
+    first (no manifest ⇒ not published), then ``ds`` is written once
+    through :class:`_PartitionSink` under Ray Data's ``preserve_order``, so
+    the write tasks get the blocks, and their ``task_idx``, in block order
+    however upstream tasks finish. Only after it returns, each partition's
+    manifest is published, with the row count and content hash summed over
+    its files and ``data_files`` naming exactly those files: a crash at any
+    point leaves no manifest or a correct one. A partition that received no
+    rows gets its directory made and a 0-row manifest.
 
     Returns the published keys and their total row count.
     """
-    import shutil
-
-    import ray
-
     t0 = time.time()
     for key in fragments:
         pdir = os.path.join(out_dir, key)
         if os.path.isdir(pdir):
             shutil.rmtree(pdir)
-    ds.write_parquet(out_dir, partition_cols=[col])
-    task = hash_partition_task()
-    pending = {key: task.remote(os.path.join(out_dir, key)) for key in fragments
-               if os.path.isdir(os.path.join(out_dir, key))}
+    sink = _PartitionSink(out_dir, col)
+    opts = ds.context.execution_options  # shared with ds's upstream datasets
+    was, opts.preserve_order = opts.preserve_order, True
+    try:
+        ds.write_datasink(sink)
+    finally:
+        opts.preserve_order = was
+    files = {key: [] for key in fragments}
+    for key, name, nrows, h in sink.results:
+        files[key].append((name, nrows, h))
     total = 0
     for key, frags in fragments.items():
         pdir = os.path.join(out_dir, key)
-        if key in pending:
-            nrows, h = ray.get(pending[key])
-        else:
-            os.makedirs(pdir, exist_ok=True)
-            nrows, h = 0, 0
-        write_manifest(pdir, key, nrows, h, frags, time.time() - t0, extra)
+        os.makedirs(pdir, exist_ok=True)
+        nrows = sum(n for _, n, _ in files[key])
+        write_manifest(pdir, key, nrows, combine_hashes(h for _, _, h in files[key]),
+                       frags, time.time() - t0, extra,
+                       data_files=[name for name, _, _ in files[key]])
         total += nrows
     return list(fragments), total
 
@@ -157,20 +148,20 @@ def _check_partition_count(out_dir: str, num_partitions: int) -> None:
     partition count. Rows go to ``hash % num_partitions``, so under another
     count a rerun would write rows already published elsewhere, and every
     partition would still look complete. A ``part=<k>`` directory with
-    ``k >= num_partitions`` also catches manifests older than the
-    ``num_partitions`` field."""
+    ``k >= num_partitions`` also raises, and so does a manifest older than
+    the ``num_partitions`` field: its count is unknown."""
     names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
     for name in names:
         k = name.removeprefix("part=")
         if k == name or not k.isdigit():
             continue
-        m = read_manifest(os.path.join(out_dir, name)) or {}
-        recorded = m.get("num_partitions", num_partitions)
-        if int(k) >= num_partitions or recorded != num_partitions:
+        m = read_manifest(os.path.join(out_dir, name))
+        recorded = m.get("num_partitions", "unknown") if m else f">{k}"
+        if int(k) >= num_partitions or (m and recorded != num_partitions):
             raise ValueError(
                 f"{os.path.join(out_dir, name)} belongs to a write with "
-                f"num_partitions={m.get('num_partitions', f'>{k}')}, not "
-                f"{num_partitions}: rerun with that count or write elsewhere")
+                f"num_partitions={recorded}, not {num_partitions}: rerun with "
+                f"that count or write into a fresh directory")
 
 
 def write_partitioned(
@@ -200,22 +191,18 @@ def write_partitioned(
     skipped = sorted(set(keys) - todo)
     if not todo:
         return {"written": [], "skipped": skipped, "row_count": 0}
+    todo_ids = sorted(int(k.split("=")[1]) for k in todo)
+    ids = pa.array(todo_ids, type=pa.int32())
 
     def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("part", _crc_bucket_col(t[key_col], num_partitions))
+        t = t.append_column("part", _crc_bucket_col(t[key_col], num_partitions))
+        return t.filter(pc.is_in(t["part"], value_set=ids))
 
-    # one block per MENTION_ROWS_PER_BLOCK rows, so the sort below and the
-    # write see as many blocks (one file per partition per block) as the
-    # rows need, whatever the union or aggregate upstream produced
+    # one block per MENTION_ROWS_PER_BLOCK rows, so the write sees as many
+    # blocks (one file per partition per block) as the rows need, whatever
+    # the union or aggregate upstream produced
     parted = ds.map_batches(add_part, batch_format="pyarrow",
                             batch_size=MENTION_ROWS_PER_BLOCK)
-    todo_ids = sorted(int(k.split("=")[1]) for k in todo)
-    parted = parted.map_batches(
-        lambda t, ids=tuple(todo_ids): t.filter(
-            pc.is_in(t["part"], value_set=pa.array(ids, type=pa.int32()))
-        ),
-        batch_format="pyarrow",
-    )
     if sort_by:
         parted = parted.sort(sort_by)
     written, total = _write_and_publish(
@@ -297,16 +284,16 @@ def materialize_graph(
     input_fragments: list[str] | None = None,
 ) -> dict:
     """Write the graph's three tables with :func:`write_partitioned`, one
-    after another: nodes sorted by node_id, edges by (src, dst, year),
-    mentions keyed by url. Returns ``{table: summary}``."""
-    jobs = {
-        "nodes": (nodes, "node_id", ["node_id"]),
-        "edges": (edges, "src", ["src", "dst", "year"]),
-        "mentions": (mentions, "url", None),
-    }
+    after another, keyed by node_id, src and url, with no sort: the merges
+    of ``kg.graph_tables`` already hold nodes in node_id order and edges in
+    (src, dst, predicate, year) order, which is (src, dst, year) order as
+    src (a url or a QID) fixes the predicate, and the writer keeps block
+    order. Returns ``{table: summary}``."""
+    keys = {"nodes": (nodes, "node_id"), "edges": (edges, "src"),
+            "mentions": (mentions, "url")}
     return {
         name: write_partitioned(ds, os.path.join(out_root, name), key,
-                                num_partitions=num_partitions, sort_by=sort_by,
+                                num_partitions=num_partitions,
                                 input_fragments=input_fragments)
-        for name, (ds, key, sort_by) in jobs.items()
+        for name, (ds, key) in keys.items()
     }

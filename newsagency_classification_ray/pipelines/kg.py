@@ -203,8 +203,9 @@ def keyed_aggregate(ds: Dataset, keys: str | list[str],
     guarantee :func:`dedup_mentions` relies on), so one
     ``pa.Table.group_by`` per block (``batch_size=None``) is the complete
     aggregate — where Ray's ``groupby().aggregate()`` reduces each group in
-    a Python loop. Single-threaded ``group_by`` emits groups in order of
-    first appearance, so the sorted blocks stay sorted by key.
+    a Python loop. ``group_by`` does not keep its input's order, even
+    single-threaded, so each output block is sorted by ``keys`` again
+    in-process: the blocks, in order, hold the keys in order.
 
     ``partition_by`` sorts on a prefix of ``keys`` instead, e.g. a key that
     determines the others: all rows of a full key still share one block, and
@@ -216,7 +217,8 @@ def keyed_aggregate(ds: Dataset, keys: str | list[str],
         g = t.group_by(keys, use_threads=False).aggregate(list(aggs.values()))
         # select by NAME (pyarrow key/aggregate order is version-dependent)
         return pa.table({**{k: g[k] for k in keys},
-                         **{out: g[f"{col}_{f}"] for out, (col, f) in aggs.items()}})
+                         **{out: g[f"{col}_{f}"] for out, (col, f) in aggs.items()}}
+                        ).sort_by([(k, "ascending") for k in keys])
 
     return ds.sort(partition_by or keys).map_batches(fn, batch_format="pyarrow",
                                                      batch_size=None)
@@ -500,8 +502,9 @@ def graph_tables(mentions: Dataset) -> dict[str, Dataset]:
     One keyed merge per table then sums the partials. The result equals
     ``dedup_mentions`` + ``build_nodes(canonicalize, triples)`` +
     ``build_edges(triples, cooccurrence_edges)`` row for row, with 3
-    exchanges in place of 9. The three tables are lazy over the
-    materialized host blocks; each is computed where it is consumed.
+    exchanges in place of 9, and the writes add none (the merges' blocks
+    are in key order). The three tables are lazy over the materialized
+    host blocks; each is computed where it is consumed.
     """
     hosted = mentions.sort("host").materialize()
 

@@ -64,6 +64,21 @@ def combine_hashes(hashes: Iterable[int]) -> int:
     return total
 
 
+def hash_files(paths: Iterable[str]) -> tuple[int, int]:
+    """Row count and content hash of Parquet files on disk, one row group
+    at a time: what a manifest's ``row_count``/``content_hash`` must equal."""
+    import pyarrow.parquet as pq
+
+    nrows, hashes = 0, []
+    for fp in paths:
+        f = pq.ParquetFile(fp)
+        for rg in range(f.num_row_groups):
+            t = f.read_row_group(rg)
+            nrows += len(t)
+            hashes.append(batch_content_hash(t))
+    return nrows, combine_hashes(hashes)
+
+
 def write_manifest(
     partition_dir: str,
     partition_key: str,
@@ -308,10 +323,8 @@ def compact_partition(partition_dir: str) -> dict:
     proliferation is the natural debris of parallel writers; compaction
     trades a rewrite for read efficiency without touching lineage.
     Returns ``{files_before, files_after, row_count}``; a partition with
-    ≤1 data file is a no-op."""
-    import glob
-
-    import pyarrow as pa
+    ≤1 data file is a no-op. A writer's own fields (``num_partitions``)
+    are kept."""
     import pyarrow.parquet as pq
 
     m = read_manifest(partition_dir)
@@ -322,30 +335,26 @@ def compact_partition(partition_dir: str) -> dict:
     if len(files) <= 1:
         return {"files_before": len(files), "files_after": len(files),
                 "row_count": int(m["row_count"])}
+    extra = {k: v for k, v in m.items() if k not in (
+        "partition_key", "input_fragments", "row_count", "content_hash",
+        "wall_s", "written_at", "data_files")}
     if m.get("data_files") is None:
         # legacy manifest: publish the current file list first, so from
         # here on readers resolve the partition via the commit list and
         # the compacted tmp/final file below can never be double-read
         write_manifest(partition_dir, m["partition_key"], m["row_count"],
                        m["content_hash"], m.get("input_fragments"),
-                       m.get("wall_s"),
+                       m.get("wall_s"), extra,
                        data_files=[os.path.basename(f) for f in files])
-    parts, hashes, nrows = [], [], 0
-    for fp in files:
-        f = pq.ParquetFile(fp)
-        for rg in range(f.num_row_groups):
-            t = f.read_row_group(rg)
-            parts.append(t)
-            nrows += len(t)
-            hashes.append(batch_content_hash(t))
-    h = combine_hashes(hashes)
+    merged = pa.concat_tables([pq.ParquetFile(fp).read() for fp in files],
+                              promote_options="default")
+    nrows, h = len(merged), batch_content_hash(merged)
     if nrows != int(m["row_count"]) or h != int(m["content_hash"]):
         raise ValueError(
             f"compact_partition: {partition_dir} content "
             f"({nrows} rows, hash {h}) does not match its manifest "
             f"({m['row_count']} rows, hash {m['content_hash']}) — "
             f"refusing to rewrite corrupted data")
-    merged = pa.concat_tables(parts, promote_options="default")
     tmp = os.path.join(partition_dir, "compacted.parquet.tmp")
     pq.write_table(merged, tmp)
     final = os.path.join(partition_dir, "compacted.parquet")
@@ -357,7 +366,7 @@ def compact_partition(partition_dir: str) -> dict:
     # on the losing side are orphans that vacuum() GCs, never double-read.
     write_manifest(partition_dir, m["partition_key"], nrows, h,
                    m.get("input_fragments"), m.get("wall_s"),
-                   extra={"compacted_from": len(files)},
+                   extra={**extra, "compacted_from": len(files)},
                    data_files=[os.path.basename(final)])
     for fp in files:
         if os.path.abspath(fp) != os.path.abspath(final):

@@ -124,15 +124,41 @@ def test_written_partitions_are_sorted_and_complete(tmp_path):
     assert sorted(seen) == sorted(tbl["node_id"].to_pylist())  # complete, no dups
 
 
+def test_write_keeps_block_order_when_tasks_finish_out_of_order(tmp_path):
+    """The graph writes add no sort: they rely on the writer keeping its
+    input's block order, so that each partition read in file-name order
+    holds its rows in that order. Here the task of the first block
+    finishes last, and its map (other resources) does not fuse with the
+    write, so a write fed in finishing order would get that block last."""
+    import time
+
+    from newsagency_classification_ray.state.manifest import partition_data_files
+
+    def slow_first(t: pa.Table) -> pa.Table:
+        if t["node_id"][0].as_py() == "n000":
+            time.sleep(2)
+        return t
+
+    blocks = [pa.table({"node_id": [f"n{i:03d}" for i in range(b * 50, b * 50 + 50)]})
+              for b in range(4)]
+    ds = ray.data.from_arrow(blocks).map_batches(
+        slow_first, batch_format="pyarrow", batch_size=None, num_cpus=0.5)
+    out = str(tmp_path / "nodes")
+    assert write_partitioned(ds, out, "node_id", num_partitions=2)["row_count"] == 200
+    for k in range(2):
+        files = partition_data_files(os.path.join(out, f"part={k}"))
+        ids = pa.concat_tables(pq.read_table(f) for f in files)["node_id"].to_pylist()
+        assert ids == sorted(ids), k
+
+
 def test_content_hash_independent_of_row_group_splits(tmp_path):
     """A null in an int64 (or bool) column must not change how the other
     rows hash: the hash of a whole table equals the combined hashes of any
     split of its rows, also when written as several row groups."""
     import pandas as pd
 
-    from newsagency_classification_ray.pipelines.graph import _hash_partition_files
     from newsagency_classification_ray.state.manifest import (
-        batch_content_hash, combine_hashes)
+        batch_content_hash, combine_hashes, hash_files)
 
     t = pa.table({
         "x": pa.array([1, None, 3], type=pa.int64()),
@@ -145,7 +171,7 @@ def test_content_hash_independent_of_row_group_splits(tmp_path):
         parts = [batch_content_hash(t.slice(0, cut)), batch_content_hash(t.slice(cut))]
         assert combine_hashes(parts) == whole, cut
     pq.write_table(t, str(tmp_path / "a.parquet"), row_group_size=1)
-    assert _hash_partition_files(str(tmp_path)) == (3, whole)
+    assert hash_files([str(tmp_path / "a.parquet")]) == (3, whole)
     # null-free columns hash exactly as before the nullable conversion
     u = pa.table({"x": pa.array([1, 2], type=pa.int64()), "ok": [True, False]})
     assert batch_content_hash(u) == int(
@@ -183,5 +209,10 @@ def test_rerun_with_other_partition_count_raises(tmp_path):
             json.dump(m, f)
     with pytest.raises(ValueError):
         write_partitioned(make_ds(1000), out, "node_id", num_partitions=2)
+    # ... and so does a larger count, whose partitions include all of the
+    # old ones: such a manifest names no count, so any rerun must raise
+    with pytest.raises(ValueError, match="fresh directory"):
+        write_partitioned(make_ds(1000), out, "node_id", num_partitions=8)
+    assert sorted(os.listdir(out)) == [f"part={k}" for k in range(4)]
     assert read_all(out).num_rows == 1000
 

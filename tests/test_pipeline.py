@@ -252,8 +252,74 @@ def test_small_blocks_keep_key_runs_whole(tmp_path):
     finally:
         ctx.target_max_block_size = old
     assert n_blocks > 1  # the small blocks really split the mention table
+    _assert_written_in_key_order(str(tmp_path / "small_hosted"))
     for tables in (got, hosted):
         assert tables["nodes"]["node_id"].is_unique
         assert not tables["edges"].duplicated(["src", "dst", "predicate", "year"]).any()
         for name in want:
             pd.testing.assert_frame_equal(tables[name], want[name])
+
+def _assert_written_in_key_order(out_root: str) -> None:
+    """Each ``nodes/part=k`` read in file-name order is sorted by node_id,
+    each ``edges/part=k`` by (src, dst, year): the writes keep the order of
+    ``graph_tables``' merges without a sort of their own."""
+    import glob
+    import os
+
+    from newsagency_classification_ray.state.manifest import partition_data_files
+
+    for table, keys in (("nodes", ["node_id"]), ("edges", ["src", "dst", "year"])):
+        for pdir in glob.glob(os.path.join(out_root, table, "part=*")):
+            files = partition_data_files(pdir)
+            assert files, pdir
+            rows = pd.concat([pq.read_table(f).to_pandas() for f in files])[keys]
+            assert list(rows.itertuples(index=False)) == sorted(
+                rows.itertuples(index=False)), pdir
+
+
+def test_manifests_equal_the_files_on_disk(tmp_path):
+    """The writer counts and hashes the rows it writes instead of reading
+    its files back. On a default ``run_pipeline`` and on the extraction
+    checkpoints, a shard without mentions included, every manifest's
+    ``row_count``/``content_hash`` equals a read of its ``data_files``,
+    which name exactly the Parquet files of its directory. The tables
+    carry null ``qid``/``freq_*`` columns, an int32 ``year`` and a
+    ``timestamp[us]`` ``warc_ts``, whose hashes this pins."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from newsagency_classification_ray.cli import PipelineConfig, run_pipeline
+    from newsagency_classification_ray.state.manifest import (
+        hash_files, partition_data_files, read_manifest)
+
+    pages = gen_pages_table(900)
+    pdir = tmp_path / "pages"
+    pdir.mkdir()
+    for i in range(2):
+        pq.write_table(pages.slice(i * 450, 450), str(pdir / f"s{i}.parquet"))
+    # English pages only: the language gate leaves no mentions
+    pq.write_table(pages.filter(pc.equal(pages["lang"], "en")), str(pdir / "s2.parquet"))
+
+    kg_out, ckpt = tmp_path / "kg", tmp_path / "mentions"
+    run_pipeline(PipelineConfig(input_path=str(pdir), output_root=str(kg_out)))
+    kg.extract_mentions_checkpointed(str(pdir), str(ckpt))
+    assert read_manifest(str(ckpt / "shard=s2"))["row_count"] == 0
+
+    partitions = glob.glob(str(kg_out / "*" / "part=*")) + glob.glob(str(ckpt / "shard=*"))
+    assert len(partitions) == 3 * PipelineConfig("", "").num_partitions + 3
+    for p in partitions:
+        m = read_manifest(p)
+        assert (m["row_count"], m["content_hash"]) == hash_files(partition_data_files(p)), p
+        assert m["data_files"] == sorted(f for f in os.listdir(p) if f.endswith(".parquet")), p
+
+    edges = pq.read_table(str(kg_out / "edges"))
+    mentions = pq.read_table(str(ckpt))
+    assert edges.schema.field("year").type == pa.int32()
+    assert edges["freq_src"].null_count > 0
+    assert pq.read_table(str(kg_out / "nodes"))["qid"].null_count > 0
+    assert mentions.schema.field("warc_ts").type == pa.timestamp("us")
+    _assert_written_in_key_order(str(kg_out))
+

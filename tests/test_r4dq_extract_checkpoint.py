@@ -62,7 +62,7 @@ def test_checkpointed_extraction_resume_and_equality(ray_session):
 
 def test_lost_shards_redo_in_one_write(tmp_path, monkeypatch):
     """Losing 3 of 5 shards re-extracts them in ONE execution (one
-    ``write_parquet``). Every manifest, cold and redone, holds exactly
+    ``write_datasink``). Every manifest, cold and redone, holds exactly
     its own shard's deduped mentions — a page copied into another shard
     is kept in both — and a shard whose pages yield no mentions still
     gets a 0-row manifest."""
@@ -94,13 +94,13 @@ def test_lost_shards_redo_in_one_write(tmp_path, monkeypatch):
     assert want["shard=s3"][0] == 0 and want["shard=s4"][0] > 0
 
     writes = []
-    real_write = ray.data.Dataset.write_parquet
+    real_write = ray.data.Dataset.write_datasink
 
     def counting_write(self, *args, **kwargs):
         writes.append(args)
         return real_write(self, *args, **kwargs)
 
-    monkeypatch.setattr(ray.data.Dataset, "write_parquet", counting_write)
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink", counting_write)
 
     def manifests() -> dict:
         return {k: (m["row_count"], m["content_hash"])
