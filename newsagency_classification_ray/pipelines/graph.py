@@ -14,18 +14,24 @@ Layout::
 
 Each partition is written only when absent (manifest check) → a rerun after a
 crash recomputes only missing partitions; manifests carry row counts +
-order-insensitive content hashes so idempotence is verifiable. One writer,
+order-insensitive content hashes so idempotence is verifiable, and each
+edges manifest also counts its rows per predicate. One writer,
 :func:`_write_and_publish`, writes these tables and the extraction
 checkpoints of ``kg.extract_mentions_checkpointed`` alike, hashing the
 rows it writes instead of reading its files back.
+:func:`materialize_graph` runs the three table writes at the same time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import os
 import shutil
 import time
 import uuid
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -38,6 +44,7 @@ from ..state.manifest import (
     batch_content_hash,
     combine_hashes,
     incomplete_partitions,
+    partition_data_files,
     read_manifest,
     write_manifest,
 )
@@ -48,14 +55,16 @@ class _PartitionSink(Datasink):
     """Each write task puts its rows of each ``<col>=<value>`` partition,
     without ``col``, in ``<col>=<value>/<write uuid>_<task_idx:06d>.parquet``
     (names sort in block order; a retried task overwrites its own file) and
-    returns ``(key, file, rows, content_hash)`` per file, hashed in memory."""
+    returns ``(key, file, rows, content_hash, counts)`` per file, hashed in
+    memory; ``counts`` maps each value of ``count_col`` to its rows there
+    (empty without a ``count_col``)."""
 
-    def __init__(self, out_dir: str, col: str):
-        self.out_dir, self.col = out_dir, col
+    def __init__(self, out_dir: str, col: str, count_col: str | None = None):
+        self.out_dir, self.col, self.count_col = out_dir, col, count_col
         self.write_uuid = uuid.uuid4().hex
-        self.results: list[tuple[str, str, int, int]] = []
+        self.results: list[tuple[str, str, int, int, dict[str, int]]] = []
 
-    def write(self, blocks, ctx) -> list[tuple[str, str, int, int]]:
+    def write(self, blocks, ctx) -> list[tuple[str, str, int, int, dict[str, int]]]:
         tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
                   if len(t)]
         if not tables:
@@ -73,11 +82,33 @@ class _PartitionSink(Datasink):
             pdir = os.path.join(self.out_dir, key)
             os.makedirs(pdir, exist_ok=True)
             pq.write_table(rows, os.path.join(pdir, name))
-            out.append((key, name, len(rows), batch_content_hash(rows)))
+            counts = ({c["values"]: c["counts"]
+                       for c in pc.value_counts(rows[self.count_col]).to_pylist()}
+                      if self.count_col else {})
+            out.append((key, name, len(rows), batch_content_hash(rows), counts))
         return out
 
     def on_write_complete(self, write_result) -> None:
         self.results = [r for task in write_result.write_returns for r in task]
+
+
+@contextlib.contextmanager
+def _preserving_order(*datasets: Dataset):
+    """Run the block with Ray Data's ``preserve_order`` set on the contexts
+    of ``datasets`` and restore each afterwards. A context is shared by
+    every dataset derived from the same source (``ExecutionPlan.copy`` is
+    shallow), so the flag is set once for all the writes it covers, and
+    restored only after the last of them returns."""
+    opts = list({id(o): o for o in (ds.context.execution_options
+                                    for ds in datasets)}.values())
+    was = [o.preserve_order for o in opts]
+    for o in opts:
+        o.preserve_order = True
+    try:
+        yield
+    finally:
+        for o, w in zip(opts, was):
+            o.preserve_order = w
 
 
 def _write_and_publish(
@@ -86,6 +117,7 @@ def _write_and_publish(
     col: str,
     fragments: dict[str, list[str] | None],
     extra: dict | None = None,
+    count_col: str | None = None,
 ) -> tuple[list[str], int]:
     """THE writer of every manifest-checked table: scrub → one partitioned
     write that counts and hashes what it writes → manifest after data.
@@ -94,13 +126,15 @@ def _write_and_publish(
     the order to publish) to its input fragments; ``ds`` holds exactly the
     rows of those partitions. Stale partials of a crashed run are removed
     first (no manifest ⇒ not published), then ``ds`` is written once
-    through :class:`_PartitionSink` under Ray Data's ``preserve_order``, so
-    the write tasks get the blocks, and their ``task_idx``, in block order
-    however upstream tasks finish. Only after it returns, each partition's
-    manifest is published, with the row count and content hash summed over
-    its files and ``data_files`` naming exactly those files: a crash at any
-    point leaves no manifest or a correct one. A partition that received no
-    rows gets its directory made and a 0-row manifest.
+    through :class:`_PartitionSink`. The caller runs it under
+    :func:`_preserving_order`, so the write tasks get the blocks, and their
+    ``task_idx``, in block order however upstream tasks finish. Only after
+    it returns, each partition's manifest is published, with the row count
+    and content hash summed over its files and ``data_files`` naming
+    exactly those files: a crash at any point leaves no manifest or a
+    correct one. A partition that received no rows gets its directory made
+    and a 0-row manifest. With ``count_col``, each manifest also holds
+    ``rows_by_<count_col>``: its rows per value of that column.
 
     Returns the published keys and their total row count.
     """
@@ -109,24 +143,25 @@ def _write_and_publish(
         pdir = os.path.join(out_dir, key)
         if os.path.isdir(pdir):
             shutil.rmtree(pdir)
-    sink = _PartitionSink(out_dir, col)
-    opts = ds.context.execution_options  # shared with ds's upstream datasets
-    was, opts.preserve_order = opts.preserve_order, True
-    try:
-        ds.write_datasink(sink)
-    finally:
-        opts.preserve_order = was
+    sink = _PartitionSink(out_dir, col, count_col)
+    ds.write_datasink(sink)
     files = {key: [] for key in fragments}
-    for key, name, nrows, h in sink.results:
-        files[key].append((name, nrows, h))
+    for key, *file in sink.results:
+        files[key].append(file)
     total = 0
     for key, frags in fragments.items():
         pdir = os.path.join(out_dir, key)
         os.makedirs(pdir, exist_ok=True)
-        nrows = sum(n for _, n, _ in files[key])
-        write_manifest(pdir, key, nrows, combine_hashes(h for _, _, h in files[key]),
-                       frags, time.time() - t0, extra,
-                       data_files=[name for name, _, _ in files[key]])
+        nrows = sum(n for _, n, _, _ in files[key])
+        fields = dict(extra or {})
+        if count_col:
+            by = Counter()
+            for *_, counts in files[key]:
+                by.update(counts)
+            fields[f"rows_by_{count_col}"] = dict(sorted(by.items()))
+        write_manifest(pdir, key, nrows, combine_hashes(h for _, _, h, _ in files[key]),
+                       frags, time.time() - t0, fields,
+                       data_files=[name for name, _, _, _ in files[key]])
         total += nrows
     return list(fragments), total
 
@@ -176,7 +211,7 @@ def write_partitioned(
     """Hash-partition ``ds`` on ``key_col`` into ``part=<k>`` directories,
     redoing only the partitions without a manifest.
 
-    Returns summary {written: [...], skipped: [...], row_count}.
+    Returns summary {written: [...], skipped: [...], row_count, wall_s}.
     The partition id is a deterministic hash bucket of ``key_col`` so a
     resumed run maps every row to the same partition; each manifest records
     ``num_partitions``, and a rerun with another count raises
@@ -186,11 +221,30 @@ def write_partitioned(
     fragments being ``input_fragments``.
     """
     _check_partition_count(out_dir, num_partitions)
+    with _preserving_order(ds):
+        return _write_partitions(ds, out_dir, key_col, num_partitions,
+                                 input_fragments, sort_by=sort_by)
+
+
+def _write_partitions(
+    ds: Dataset,
+    out_dir: str,
+    key_col: str,
+    num_partitions: int,
+    input_fragments: list[str] | None,
+    *,
+    sort_by: list[str] | None = None,
+    count_col: str | None = None,
+) -> dict:
+    """:func:`write_partitioned` after its partition-count check, run
+    under the caller's :func:`_preserving_order`."""
+    t0 = time.perf_counter()
     keys = [f"part={k}" for k in range(num_partitions)]
     todo = set(incomplete_partitions(out_dir, keys))
     skipped = sorted(set(keys) - todo)
     if not todo:
-        return {"written": [], "skipped": skipped, "row_count": 0}
+        return {"written": [], "skipped": skipped, "row_count": 0,
+                "wall_s": time.perf_counter() - t0}
     todo_ids = sorted(int(k.split("=")[1]) for k in todo)
     ids = pa.array(todo_ids, type=pa.int32())
 
@@ -207,8 +261,9 @@ def write_partitioned(
         parted = parted.sort(sort_by)
     written, total = _write_and_publish(
         parted, out_dir, "part", {f"part={k}": input_fragments for k in todo_ids},
-        {"num_partitions": num_partitions})
-    return {"written": written, "skipped": skipped, "row_count": total}
+        {"num_partitions": num_partitions}, count_col)
+    return {"written": written, "skipped": skipped, "row_count": total,
+            "wall_s": time.perf_counter() - t0}
 
 
 def export_gexf(nodes: Dataset, edges: Dataset, path: str,
@@ -283,17 +338,52 @@ def materialize_graph(
     num_partitions: int = 8,
     input_fragments: list[str] | None = None,
 ) -> dict:
-    """Write the graph's three tables with :func:`write_partitioned`, one
-    after another, keyed by node_id, src and url, with no sort: the merges
-    of ``kg.graph_tables`` already hold nodes in node_id order and edges in
+    """Write the graph's three tables at the same time, one thread per
+    table, keyed by node_id, src and url, with no sort: the merges of
+    ``kg.graph_tables`` already hold nodes in node_id order and edges in
     (src, dst, predicate, year) order, which is (src, dst, year) order as
     src (a url or a QID) fixes the predicate, and the writer keeps block
-    order. Returns ``{table: summary}``."""
-    keys = {"nodes": (nodes, "node_id"), "edges": (edges, "src"),
-            "mentions": (mentions, "url")}
-    return {
-        name: write_partitioned(ds, os.path.join(out_root, name), key,
-                                num_partitions=num_partitions,
-                                input_fragments=input_fragments)
-        for name, (ds, key) in keys.items()
-    }
+    order. Each write spends its time waiting on Ray's per-execution
+    latency more than computing, so they overlap even on one core.
+
+    Every table's partition count is checked before any write starts.
+    ``preserve_order`` is set once, before the first write, on the
+    contexts the three datasets share, and restored after the last one
+    returns. Each edges manifest counts its rows per predicate
+    (``rows_by_predicate``). Returns ``{table: summary}`` as
+    :func:`write_partitioned` does, ``wall_s`` being each write's own wall
+    time."""
+    tables = {"nodes": (nodes, "node_id", None), "edges": (edges, "src", "predicate"),
+              "mentions": (mentions, "url", None)}
+    for name in tables:
+        _check_partition_count(os.path.join(out_root, name), num_partitions)
+
+    def write(name: str) -> dict:
+        ds, key, count_col = tables[name]
+        return _write_partitions(ds, os.path.join(out_root, name), key, num_partitions,
+                                 input_fragments, count_col=count_col)
+
+    with _preserving_order(nodes, edges, mentions), \
+            ThreadPoolExecutor(len(tables)) as pool:
+        futures = {name: pool.submit(write, name) for name in tables}
+        return {name: f.result() for name, f in futures.items()}
+
+
+def _published_rows(table_dir: str, predicate: str | None = None) -> int:
+    """Rows published in ``table_dir``'s ``part=<k>`` partitions, read
+    from their manifests; with ``predicate``, only the edges of that
+    predicate, from each manifest's ``rows_by_predicate``. A manifest
+    written before that field is counted from its data files' predicate
+    column."""
+    total = 0
+    for pdir in glob.glob(os.path.join(table_dir, "part=*")):
+        m = read_manifest(pdir)
+        if predicate is None:
+            total += m["row_count"]
+        elif "rows_by_predicate" in m:
+            total += m["rows_by_predicate"].get(predicate, 0)
+        else:
+            for f in partition_data_files(pdir):
+                col = pq.read_table(f, columns=["predicate"])["predicate"]
+                total += pc.sum(pc.equal(col, predicate)).as_py() or 0
+    return total

@@ -654,7 +654,7 @@ def extract_mentions_checkpointed(
     import os as _os
 
     from ..state.manifest import incomplete_partitions
-    from .graph import _write_and_publish
+    from .graph import _preserving_order, _write_and_publish
 
     shards = sorted(_glob.glob(_os.path.join(pages_dir, "*.parquet")))
 
@@ -673,8 +673,9 @@ def extract_mentions_checkpointed(
     m = m.sort(["shard", "mention_id"]).map_batches(
         _drop_dup_runs(["shard", "mention_id"]), batch_format="pyarrow",
         batch_size=None)
-    written, total = _write_and_publish(
-        m, out_root, "shard", {key_of(f): [f] for f in todo_files})
+    with _preserving_order(m):
+        written, total = _write_and_publish(
+            m, out_root, "shard", {key_of(f): [f] for f in todo_files})
     return {"written": written, "skipped": skipped, "row_count": total}
 
 

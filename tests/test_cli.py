@@ -7,33 +7,75 @@ from newsagency_classification_ray.cli import PipelineConfig, main, run_pipeline
 from newsagency_classification_ray.sources.pages import ensure_pages
 
 
+def _published_on_disk(root: str) -> tuple[int, int]:
+    """Mention rows and ``cites_agency`` edges in the files the manifests
+    of ``root`` name."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from newsagency_classification_ray.state.manifest import partition_data_files
+
+    def files(table):
+        return [f for pdir in sorted(os.listdir(os.path.join(root, table)))
+                for f in partition_data_files(os.path.join(root, table, pdir))]
+
+    mentions = sum(pq.ParquetFile(f).metadata.num_rows for f in files("mentions"))
+    cites = sum(pc.sum(pc.equal(pq.read_table(f, columns=["predicate"])["predicate"],
+                                "cites_agency")).as_py() or 0
+                for f in files("edges"))
+    return mentions, cites
+
+
 def test_run_pipeline_end_to_end(tmp_path, ray_session):
+    """``mentions`` and ``triples`` are what the manifests publish: equal
+    to the files on disk after a cold run, after a rerun that skips every
+    partition, and after one over edges manifests written before
+    ``rows_by_predicate``, which are counted from their files."""
+    import json
+
     p = ensure_pages("/root/testdata/sf0.001")
+    root = os.path.join(tmp_path, "kg")
     out = run_pipeline(PipelineConfig(
-        input_path=p, output_root=os.path.join(tmp_path, "kg"),
+        input_path=p, output_root=root,
         num_partitions=4, gexf_path=os.path.join(tmp_path, "g.gexf"),
     ))
     assert out["mentions"] == 371 and out["triples"] == 330
+    assert (out["mentions"], out["triples"]) == _published_on_disk(root)
     assert out["write"]["nodes"]["rows"] == 212
+    # the three writes overlap
+    assert sum(v["wall_s"] for v in out["write"].values()) > out["graph_wall_s"]
     assert os.path.exists(os.path.join(tmp_path, "g.gexf"))
     for table in ("nodes", "edges", "mentions"):
         for k in range(4):
             assert os.path.exists(
                 os.path.join(tmp_path, "kg", table, f"part={k}", "_manifest.json")
             )
-    # rerun resumes: nothing rewritten
-    again = run_pipeline(PipelineConfig(
-        input_path=p, output_root=os.path.join(tmp_path, "kg"), num_partitions=4,
-    ))
+    # rerun resumes: nothing rewritten, the same counts
+    cfg = PipelineConfig(input_path=p, output_root=root, num_partitions=4)
+    again = run_pipeline(cfg)
     assert all(v["written"] == 0 for v in again["write"].values())
+    assert (again["mentions"], again["triples"]) == (371, 330)
+    for k in range(4):
+        path = os.path.join(root, "edges", f"part={k}", "_manifest.json")
+        with open(path) as f:
+            m = json.load(f)
+        del m["rows_by_predicate"]
+        with open(path, "w") as f:
+            json.dump(m, f)
+    again = run_pipeline(cfg)
+    assert all(v["written"] == 0 for v in again["write"].values())
+    assert (again["mentions"], again["triples"]) == (371, 330)
 
 
 def test_run_pipeline_graph_path_has_three_exchanges(tmp_path, monkeypatch):
     """The plans run_pipeline executes hold 3 all-to-all exchanges in all:
     the host sort and the node and edge merges, whose sorted output the
-    writes keep as it is. Every execution goes through ``materialize``
-    (writes included) or ``count``."""
+    writes keep as it is. Every plan goes through ``materialize`` (writes
+    included) or ``count``. They run as 4 executions: the host sort's,
+    then one ``write_datasink`` per table; nothing is executed only to be
+    counted."""
     from ray.data import Dataset
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
     from ray.data._internal.logical.operators.all_to_all_operator import (
         AbstractAllToAll)
 
@@ -45,12 +87,23 @@ def test_run_pipeline_graph_path_has_three_exchanges(tmp_path, monkeypatch):
             todo.extend(op.input_dependencies)
         return n
 
-    seen = []
+    seen, executions, writes = [], [], []
     for name in ("materialize", "count"):
         def counted(self, *args, _real=getattr(Dataset, name), **kwargs):
             seen.append(exchanges(self))
             return _real(self, *args, **kwargs)
         monkeypatch.setattr(Dataset, name, counted)
+
+    def executed(self, *args, _real=StreamingExecutor.execute, **kwargs):
+        executions.append(1)
+        return _real(self, *args, **kwargs)
+
+    def written(self, *args, _real=Dataset.write_datasink, **kwargs):
+        writes.append(1)
+        return _real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", executed)
+    monkeypatch.setattr(Dataset, "write_datasink", written)
     import pyarrow.parquet as pq
 
     from newsagency_classification_ray.sources.pages import gen_pages_table
@@ -61,6 +114,7 @@ def test_run_pipeline_graph_path_has_three_exchanges(tmp_path, monkeypatch):
         input_path=pages, output_root=os.path.join(tmp_path, "kg"), num_partitions=4))
     assert out["triples"] > 0
     assert sum(seen) == 3, seen
+    assert (len(executions), len(writes)) == (4, 3)
 
 
 def test_cli_eval_subcommand(ray_session, capsys):

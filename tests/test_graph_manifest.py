@@ -129,15 +129,26 @@ def test_write_keeps_block_order_when_tasks_finish_out_of_order(tmp_path):
     input's block order, so that each partition read in file-name order
     holds its rows in that order. Here the task of the first block
     finishes last, and its map (other resources) does not fuse with the
-    write, so a write fed in finishing order would get that block last."""
+    write, so a write fed in finishing order would get that block last.
+    The same holds when ``materialize_graph`` writes its three tables at
+    once and the delayed one finishes after the others: the flag their
+    shared context carries is set for all three writes and restored after
+    the last, not by each write for itself."""
     import time
 
+    from newsagency_classification_ray.pipelines.graph import materialize_graph
     from newsagency_classification_ray.state.manifest import partition_data_files
 
     def slow_first(t: pa.Table) -> pa.Table:
-        if t["node_id"][0].as_py() == "n000":
+        if t[0][0].as_py() == "n000":
             time.sleep(2)
         return t
+
+    def assert_sorted(out: str, key: str) -> None:
+        for k in range(2):
+            files = partition_data_files(os.path.join(out, f"part={k}"))
+            ids = pa.concat_tables(pq.read_table(f) for f in files)[key].to_pylist()
+            assert ids == sorted(ids), (out, k)
 
     blocks = [pa.table({"node_id": [f"n{i:03d}" for i in range(b * 50, b * 50 + 50)]})
               for b in range(4)]
@@ -145,10 +156,29 @@ def test_write_keeps_block_order_when_tasks_finish_out_of_order(tmp_path):
         slow_first, batch_format="pyarrow", batch_size=None, num_cpus=0.5)
     out = str(tmp_path / "nodes")
     assert write_partitioned(ds, out, "node_id", num_partitions=2)["row_count"] == 200
-    for k in range(2):
-        files = partition_data_files(os.path.join(out, f"part={k}"))
-        ids = pa.concat_tables(pq.read_table(f) for f in files)["node_id"].to_pylist()
-        assert ids == sorted(ids), k
+    assert_sorted(out, "node_id")
+
+    base = ray.data.from_arrow(blocks)
+    opts = base.context.execution_options
+    assert opts.preserve_order is False
+
+    def table(key: str, delayed: bool = False) -> ray.data.Dataset:
+        def fn(t: pa.Table) -> pa.Table:
+            t = t.rename_columns([key])
+            if key == "src":
+                t = t.append_column("predicate", pa.array(["cites_agency"] * len(t)))
+            return slow_first(t) if delayed else t
+        return base.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                                num_cpus=0.5)
+
+    s = materialize_graph(table("node_id"), table("src"), table("url", delayed=True),
+                          str(tmp_path / "graph"), num_partitions=2)
+    assert {name: v["row_count"] for name, v in s.items()} == {
+        "nodes": 200, "edges": 200, "mentions": 200}
+    assert s["mentions"]["wall_s"] > max(s["nodes"]["wall_s"], s["edges"]["wall_s"])
+    assert opts.preserve_order is False
+    for name, key in (("nodes", "node_id"), ("edges", "src"), ("mentions", "url")):
+        assert_sorted(str(tmp_path / "graph" / name), key)
 
 
 def test_content_hash_independent_of_row_group_splits(tmp_path):
